@@ -85,22 +85,13 @@ LOG = logging.getLogger("repro.bench")
 #: section's ``jN`` runs): candidate message count, total message
 #: bytes, source-suppressed candidates, and the canonical merge's
 #: overlap/tail seconds — the parallel backend's data-plane cost.
-#: ``null`` on serial entries and on documents predating ``/8``;
-#: scheduling- and wall-clock-dependent, so :func:`diff_reports`
-#: ignores it.  :func:`load_report` still reads ``/1`` .. ``/7``.
+#: ``null`` on serial entries; scheduling- and wall-clock-dependent,
+#: so :func:`diff_reports` ignores it.
 SCHEMA_VERSION = "repro.bench.explore/8"
 
-#: Older layouts :func:`load_report` can upgrade on the fly.
-COMPATIBLE_SCHEMAS = (
-    "repro.bench.explore/1",
-    "repro.bench.explore/2",
-    "repro.bench.explore/3",
-    "repro.bench.explore/4",
-    "repro.bench.explore/5",
-    "repro.bench.explore/6",
-    "repro.bench.explore/7",
-    SCHEMA_VERSION,
-)
+#: Layouts :func:`load_report` reads.  Only the current one: every
+#: checked-in document is ``/8``, so there is nothing to upgrade.
+COMPATIBLE_SCHEMAS = (SCHEMA_VERSION,)
 
 POLICIES = ("full", "stubborn", "stubborn-proc")
 
@@ -146,9 +137,9 @@ def policy_combos() -> list[tuple[str, bool, bool]]:
 
 def parallel_combos() -> list[tuple[str, bool, bool]]:
     """The parallel-backend grid per jobs value: the same 12-point
-    policy grid as the serial sweep.  Sleep sets compose with the
-    parallel backend since the work-stealing rewrite (the master runs
-    the sleep-DFS order; workers serve sharded expansions)."""
+    policy grid as the serial sweep.  Its ``+sleep`` combos run on the
+    serial sleep driver (see :func:`repro.explore.explore`), so they
+    start no workers and record the requested ``backend``/``jobs``."""
     return policy_combos()
 
 
@@ -860,53 +851,14 @@ def write_report(report: BenchReport, out_path: str) -> None:
 
 
 def upgrade_document(doc: dict) -> dict:
-    """Normalize a bench document to the current schema in place.
-
-    ``/1`` documents (the PR-1 baseline) lack ``errors``/``watchdog_s``
-    and the per-entry resilience fields; ``/2`` additionally lacks the
-    backend/jobs/digest fields and the ``scaling`` section.  All are
-    filled with neutral defaults so downstream tooling reads one shape
-    (``result_digest: None`` means "not recorded" and is skipped by
-    :func:`diff_reports`).  Unknown schemas raise :class:`ReproError`.
-    """
+    """Check that *doc* has a schema this reader speaks and return it;
+    any other schema raises :class:`ReproError`."""
     schema = doc.get("schema")
     if schema not in COMPATIBLE_SCHEMAS:
         raise ReproError(
             f"unsupported bench schema {schema!r}; "
             f"this reader speaks {', '.join(COMPATIBLE_SCHEMAS)}"
         )
-    doc.setdefault("errors", {})
-    doc.setdefault("watchdog_s", None)
-    doc.setdefault("jobs", [])
-    doc.setdefault("scaling", {})
-    doc.setdefault("serve", None)
-    doc.setdefault("schedules", None)
-    doc.setdefault("progress", None)
-    scaling = doc["scaling"]
-    if scaling and "programs" not in scaling:
-        # /3 layout: a bare name -> runs map, stubborn without coarsen,
-        # no host-cpus record, no per-run steals
-        doc["scaling"] = scaling = {
-            "cpus": None,
-            "policy": "stubborn",
-            "coarsen": False,
-            "programs": scaling,
-        }
-    for runs in scaling.get("programs", {}).values():
-        for run_name, run in runs.items():
-            if run_name != "serial":
-                run.setdefault("steals", None)
-                run.setdefault("interconnect", None)
-    for prog in doc.get("programs", {}).values():
-        for entry in prog.get("policies", {}).values():
-            entry.setdefault("truncation_reason", None)
-            entry.setdefault("peak_rss_bytes", 0)
-            entry.setdefault("escalations", [])
-            entry.setdefault("backend", "serial")
-            entry.setdefault("jobs", 1)
-            entry.setdefault("shard_balance", None)
-            entry.setdefault("result_digest", None)
-            entry.setdefault("interconnect", None)
     return doc
 
 
@@ -944,7 +896,7 @@ DETERMINISTIC_FIELDS = (
 
 
 def diff_reports(new: dict, baseline: dict) -> list[str]:
-    """Compare two (upgraded) bench documents over the intersection of
+    """Compare two bench documents over the intersection of
     their ``(program, combo)`` entries; return human-readable drift
     lines, empty when the deterministic fields all agree.
 
@@ -985,11 +937,7 @@ def diff_reports(new: dict, baseline: dict) -> list[str]:
         for combo in shared_combos:
             ne, be = new_prog["policies"][combo], base_prog["policies"][combo]
             for fieldname in DETERMINISTIC_FIELDS:
-                if fieldname not in ne or fieldname not in be:
-                    continue  # field predates one document's schema
                 nv, bv = ne.get(fieldname), be.get(fieldname)
-                if fieldname == "result_digest" and (nv is None or bv is None):
-                    continue  # pre-/3 baseline: digest not recorded
                 if nv != bv:
                     drift.append(
                         f"{name}/{combo}: {fieldname} {bv!r} -> {nv!r}"

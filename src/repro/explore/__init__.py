@@ -21,7 +21,6 @@ from repro.explore.parallel import explore_parallel
 from repro.explore.graph import DEADLOCK, FAULT, TERMINATED, ConfigGraph, Edge
 from repro.explore.observers import (
     Observer,
-    TraceObserver,
     TransitionLogObserver,
 )
 from repro.explore.stubborn import StubbornSelector, StubbornStats
@@ -41,7 +40,6 @@ __all__ = [
     "StubbornSelector",
     "StubbornStats",
     "TERMINATED",
-    "TraceObserver",
     "TransitionLogObserver",
     "action_is_critical",
     "build_block",

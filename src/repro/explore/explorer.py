@@ -44,7 +44,7 @@ import os
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 try:
     import resource as _resource
@@ -165,9 +165,10 @@ class ExploreStats:
     #: degradation-ladder trail, e.g. ("full->stubborn: configs",);
     #: filled by :func:`repro.resilience.explore_resilient`
     escalations: tuple[str, ...] = ()
-    #: which driver produced this result ("serial" | "parallel")
+    #: the backend the run requested ("serial" | "parallel"); sleep-set
+    #: runs stay in the calling process, so "parallel" there means no workers
     backend: str = "serial"
-    #: worker-process count (1 for the serial backend)
+    #: the requested worker-process count (1 for the serial backend)
     jobs: int = 1
     #: successor candidates routed to a *different* worker's shard
     #: (parallel backend only — the cross-worker communication volume;
@@ -247,6 +248,21 @@ class ExploreResult:
         }
 
 
+def _make_access(program: Program, opts: ExploreOptions) -> AccessAnalysis:
+    if opts.coarse_derefs:
+        return AccessAnalysis(program, coarse_derefs=True)
+    return access_analysis(program)
+
+
+def _make_selector(program: Program, access: AccessAnalysis, policy: str):
+    """The stubborn-set selector for *policy* (None under ``full``)."""
+    if policy == "stubborn":
+        return AlgorithmOneSelector(program, access)
+    if policy == "stubborn-proc":
+        return StubbornSelector(program, access)
+    return None
+
+
 def explore(
     program: Program,
     policy: str = "full",
@@ -273,8 +289,12 @@ def explore(
     with a caller-owned (possibly pre-warmed) instance — the analysis
     service's warm-start hook.  The caller keeps the reference, so it
     can export the filled cache afterwards.  Ignored when
-    ``opts.memo`` is off; the parallel backend keeps its own per-shard
+    ``opts.memo`` is off; the parallel BFS keeps its own per-shard
     caches and ignores it too.
+
+    Sleep-set pruning follows one DFS order, so ``sleep=True`` runs on
+    the serial sleep driver whatever the backend; its stats still name
+    the requested ``backend``/``jobs``.
     """
     opts = (
         options
@@ -286,9 +306,10 @@ def explore(
     if opts.backend not in ("serial", "parallel"):
         raise ValueError(f"unknown backend {opts.backend!r}")
 
-    if opts.backend == "parallel":
-        if opts.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {opts.jobs}")
+    parallel = opts.backend == "parallel"
+    if parallel and opts.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {opts.jobs}")
+    if parallel and not opts.sleep:
         from repro.explore.parallel import explore_parallel
 
         return explore_parallel(
@@ -299,16 +320,8 @@ def explore(
             resume_from=resume_from,
         )
 
-    if opts.coarse_derefs:
-        access = AccessAnalysis(program, coarse_derefs=True)
-    else:
-        access = access_analysis(program)
-    selector = None
-    if opts.policy == "stubborn":
-        selector = AlgorithmOneSelector(program, access)
-    elif opts.policy == "stubborn-proc":
-        selector = StubbornSelector(program, access)
-
+    access = _make_access(program, opts)
+    selector = _make_selector(program, access, opts.policy)
     metrics = _attached_registry(observers)
     if selector is not None and metrics is not None:
         selector.metrics = metrics
@@ -319,6 +332,7 @@ def explore(
         return _explore_sleep(
             program, opts, access, selector, observers, metrics,
             checkpointer, resume_from, expand_cache=expand_cache,
+            backend=opts.backend, jobs=opts.jobs if parallel else 1,
         )
 
     rounds = None
@@ -605,18 +619,14 @@ def _within_memory_budget(stats: ExploreStats, opts: ExploreOptions) -> bool:
 
 def _expand_guarded(
     program, config, cid, access, opts, stats, metrics, tracer=None,
-    cache=None, expand_fn=None,
+    cache=None,
 ) -> list[Expansion] | None:
     """Expansion with engine-bug isolation: an exception here loses this
     configuration's successors, so the run is marked truncated
-    (``internal-error``) — but it never raises.
-
-    *expand_fn* substitutes the expansion computation (the parallel
-    sleep driver farms it to worker processes); the chaos ``eval`` point
-    then fires on the worker side, inside the substituted function."""
+    (``internal-error``) — but it never raises.  Every driver expands
+    through here: the serial BFS, the sleep-set DFS (on every backend),
+    and the parallel BFS workers."""
     try:
-        if expand_fn is not None:
-            return expand_fn(config, cid)
         chaos.kick("eval")
         return _expand(program, config, access, opts, metrics, tracer, cache)
     except Exception as exc:
@@ -822,7 +832,6 @@ def _explore_sleep(
     checkpointer: Checkpointer | None = None,
     resume_from: str | None = None,
     *,
-    expand_fn=None,
     backend: str = "serial",
     jobs: int = 1,
     expand_cache: ExpandCache | None = None,
@@ -830,13 +839,11 @@ def _explore_sleep(
     """Depth-first exploration with sleep sets (see
     :mod:`repro.explore.sleepsets`), composable with any policy.
 
-    The parallel backend reuses this exact driver: sleep-set pruning is
-    order-dependent, so the DFS stays master-sequenced and only the
-    expensive part — computing expansions — is farmed out through
-    *expand_fn* (same contract as :func:`_expand`, exceptions included:
-    a worker-side fault re-raises here and takes the ordinary
-    ``internal-error`` path).  Master sequencing is also what makes
-    checkpoint/resume and the graph bit-identical across backends.
+    Sleep-set pruning is order-dependent, so this one sequential DFS
+    serves every backend: ``backend="parallel"`` runs it unchanged in
+    the calling process, and *backend*/*jobs* only tag the stats with
+    what was requested.  One driver is also what keeps checkpoints
+    (``driver="sleep"``) and the graph bit-identical across backends.
     """
     from repro.explore.sleepsets import entry_of, independent, transition_key
 
@@ -954,7 +961,7 @@ def _explore_sleep(
 
         expansions = _expand_guarded(
             program, config, cid, access, opts, stats, metrics, tracer,
-            cache=cache, expand_fn=expand_fn,
+            cache=cache,
         )
         if expansions is None:
             continue

@@ -58,9 +58,3 @@ class TransitionLogObserver(Observer):
 
     def on_edge(self, graph, src, dst, actions) -> None:
         self.edges.append((src, dst, tuple(a.label for a in actions)))
-
-
-#: Backwards-compatible alias — the class predates :mod:`repro.trace`
-#: and was renamed to free the "trace" word for the span/event
-#: subsystem.  New code should say :class:`TransitionLogObserver`.
-TraceObserver = TransitionLogObserver

@@ -48,13 +48,13 @@ out of every cross-run equality contract.
 
 Composition
 -----------
-Everything composes — the two historical rejections are lifted:
-
-* ``sleep=True``: sleep-set pruning is order-dependent, so the DFS of
-  :func:`repro.explore.explorer._explore_sleep` stays master-sequenced
-  and workers act as sharded *expansion servers* (each owning a shard's
-  memo cache); the graph, checkpoints, and pruning decisions are
-  bit-identical to the serial sleep driver's.
+* ``sleep=True`` never reaches this module: sleep-set pruning follows
+  one DFS order, so :func:`repro.explore.explorer.explore` runs every
+  sleep-set exploration on the serial sleep driver
+  (:func:`repro.explore.explorer._explore_sleep`) and only tags its
+  stats with the requested backend and ``jobs``.  Workers could only
+  wait on that DFS: farming its expansions out to them measured
+  3-5x slower than serial on a 2-vCPU host, for the same graph.
 * checkpoint/resume: the master pauses the pool (workers park ready
   tasks; quiescence is ``outstanding == suspended``), collects shard
   dumps, and writes the same ``driver="bfs"`` snapshot the serial
@@ -82,11 +82,25 @@ import time
 import traceback
 from collections import deque
 
-from repro.analyses.accesses import AccessAnalysis, access_analysis
-from repro.explore.algorithm1 import AlgorithmOneSelector
+from repro.explore.explorer import (
+    ExploreStats,
+    _ObserverGuard,
+    _attached_progress,
+    _attached_registry,
+    _attached_tracer,
+    _current_rss_bytes,
+    _emit_incremental_metrics,
+    _expand_guarded,
+    _finalize,
+    _make_access,
+    _make_selector,
+    _select_guarded,
+    _terminal_status_fast,
+    _truncate,
+)
 from repro.explore.graph import DEADLOCK, TERMINATED, ConfigGraph
 from repro.explore.memo import ExpandCache
-from repro.explore.stubborn import StubbornSelector, StubbornStats
+from repro.explore.stubborn import StubbornStats
 from repro.lang.program import Program
 from repro.resilience import chaos
 from repro.resilience.checkpoint import (
@@ -151,20 +165,6 @@ class _PoolFailure(BaseException):
     engine's generic degradation guards (``_expand_guarded``, observer
     guards) up to the retry loop in :func:`explore_parallel`.
     """
-
-
-def _make_selector(program, access, policy):
-    if policy == "stubborn":
-        return AlgorithmOneSelector(program, access)
-    if policy == "stubborn-proc":
-        return StubbornSelector(program, access)
-    return None
-
-
-def _make_access(program, opts) -> AccessAnalysis:
-    if opts.coarse_derefs:
-        return AccessAnalysis(program, coarse_derefs=True)
-    return access_analysis(program)
 
 
 class _Shared:
@@ -249,8 +249,6 @@ class _Worker:
         self, wid, nshards, program, opts, inboxes, results, shared,
         store, want_metrics, want_trace, trace_wall,
     ) -> None:
-        from repro.explore.explorer import ExploreStats
-
         self.wid = wid
         self.nshards = nshards
         self.program = program
@@ -356,8 +354,6 @@ class _Worker:
             # (mirrors the serial driver's cleared-queue configurations)
             self.d_out -= 1
             return lid
-        from repro.explore.explorer import _terminal_status_fast
-
         status = _terminal_status_fast(config)
         if status is not None:
             self.terminals.append((lid, status))
@@ -498,8 +494,6 @@ class _Worker:
     # -- task execution -------------------------------------------------
 
     def _execute(self, owner, lid, config) -> None:
-        from repro.explore.explorer import _expand_guarded, _select_guarded
-
         _maybe_chaos_exit()
         if self.tracer is not None:
             self.tracer.shard = owner  # stolen work keeps the owner tag
@@ -651,11 +645,6 @@ class _Worker:
     # -- dumps ----------------------------------------------------------
 
     def _dump(self, final: bool) -> None:
-        from repro.explore.explorer import (
-            _current_rss_bytes,
-            _emit_incremental_metrics,
-        )
-
         payload = {
             "wid": self.wid,
             # graph content ships as a delta over the fragments already
@@ -784,7 +773,7 @@ def _worker_main(
     wid, nshards, program, opts, inboxes, results, shared, store,
     want_metrics, want_trace, trace_wall,
 ):
-    """Worker process entry point (BFS mode)."""
+    """Worker process entry point."""
     # the cyclic collector only costs here: exploration state is
     # refcount-reclaimed (frozen dataclasses, tuples), and a gen-2 pass
     # in a forked child copy-on-write-faults the whole inherited heap
@@ -819,15 +808,19 @@ def explore_parallel(
     retried — exploration is deterministic, so the retry converges on
     the identical graph; ``stats.worker_restarts`` reports how many
     attempts it took.
+
+    Sleep-set options are rejected: ``explore()`` runs those on the
+    serial sleep driver, so reaching here with them means a caller
+    bypassed it.
     """
+    if opts.sleep:
+        raise ValueError(
+            "explore_parallel does not run sleep-set explorations; "
+            "call repro.explore.explore, which runs them serially"
+        )
     attempts = 0
     while True:
         try:
-            if opts.sleep:
-                return _sleep_attempt(
-                    program, opts, observers, checkpointer, resume_from,
-                    attempts,
-                )
             return _bfs_attempt(
                 program, opts, observers, checkpointer, resume_from, attempts
             )
@@ -850,7 +843,7 @@ class _Pool:
 
     def __init__(
         self, program, opts, nshards, outstanding0, preloaded_configs,
-        want_metrics, want_trace, trace_wall, worker_main=_worker_main,
+        want_metrics, want_trace, trace_wall,
     ) -> None:
         methods = multiprocessing.get_all_start_methods()
         self.fork = "fork" in methods
@@ -874,7 +867,7 @@ class _Pool:
         try:
             for wid in range(nshards):
                 proc = ctx.Process(
-                    target=worker_main,
+                    target=_worker_main,
                     args=(
                         wid, nshards, program, opts, self.inboxes,
                         self.results, self.shared, self.store, want_metrics,
@@ -1159,45 +1152,62 @@ def _merge_graph(parts, snap_edges, snap_terminals, init_cfg, metrics):
     return graph, edge_items, term_items, frag
 
 
-def _sum_dump_stats(stats, dumps, parts, base=None) -> int:
-    """Fold per-worker counters into *stats*; returns total dedup hits.
+#: worker counters summed into the merged stats (dump key = field name)
+_SUMMED_STATS = (
+    "expansions", "actions_executed", "selector_faults", "engine_faults",
+    "handoffs", "steals", "msg_bytes", "cand_msgs", "cand_suppressed",
+)
 
-    Cumulative counters start from *base* (the resumed snapshot's stats)
-    when given; absolute quantities (terminal counts, graph sizes) are
-    recomputed by the caller from the merged graph instead.  Shard sizes
-    come from *parts* (the accumulated per-worker graph content) — the
-    dumps themselves only carry deltas.
+
+def _merge_dumps(pool, acc, dumps, snap, init, stats, metrics, *, tail=True):
+    """Fold the gathered *dumps* (and any fragments that raced the dump
+    request) into *acc*, then merge: the canonical graph, the worker
+    counters summed into *stats*, the terminal counts, and the workers'
+    selector statistics.  *tail* charges the dump folds to
+    ``acc.tail_s`` (the final merge) rather than to the overlap (a
+    checkpoint, taken mid-run).
+
+    Returns ``(graph, edge_items, term_items, frag, dedup, stubborn)``,
+    ``dedup`` being the workers' total dedup hits.
     """
-    if base is not None:
-        stats.expansions = base.expansions
-        stats.actions_executed = base.actions_executed
-        stats.selector_faults = base.selector_faults
-        stats.engine_faults = base.engine_faults
-        stats.handoffs = base.handoffs
-        stats.steals = base.steals
-        stats.peak_rss_bytes = base.peak_rss_bytes
-        stats.degraded_observers = base.degraded_observers
-        stats.msg_bytes = getattr(base, "msg_bytes", 0)
-        stats.cand_msgs = getattr(base, "cand_msgs", 0)
-        stats.cand_suppressed = getattr(base, "cand_suppressed", 0)
+    acc.flush_pending()
+    for d in dumps:
+        acc.fold_dump(d, tail=tail)
+    graph, edge_items, term_items, frag = _merge_graph(
+        acc.parts,
+        snap["edges"] if snap else [],
+        snap["terminals"] if snap else [],
+        init,
+        metrics,
+    )
+    if snap is not None:
+        # cumulative counters continue from the resumed snapshot's; the
+        # absolute ones (terminal counts, sizes) come from the graph
+        base = snap["stats"]
+        for name in (*_SUMMED_STATS, "peak_rss_bytes", "degraded_observers"):
+            setattr(stats, name, getattr(base, name))
     dedup = 0
     for d in dumps:
         ws = d["stats"]
-        stats.expansions += ws["expansions"]
-        stats.actions_executed += ws["actions_executed"]
-        stats.selector_faults += ws["selector_faults"]
-        stats.engine_faults += ws["engine_faults"]
-        stats.handoffs += ws["handoffs"]
-        stats.steals += ws["steals"]
-        stats.msg_bytes += ws["msg_bytes"]
-        stats.cand_msgs += ws["cand_msgs"]
-        stats.cand_suppressed += ws["cand_suppressed"]
+        for name in _SUMMED_STATS:
+            setattr(stats, name, getattr(stats, name) + ws[name])
         dedup += ws["dedup_hits"]
-        if ws["peak_rss_bytes"] > stats.peak_rss_bytes:
-            stats.peak_rss_bytes = ws["peak_rss_bytes"]
-    stats.shard_sizes = tuple(len(p["configs"]) for p in parts)
+        stats.peak_rss_bytes = max(stats.peak_rss_bytes, ws["peak_rss_bytes"])
+    stats.msg_bytes += pool.rx_dump_bytes
+    # shard sizes come from the accumulated parts: dumps carry deltas
+    stats.shard_sizes = tuple(len(p["configs"]) for p in acc.parts)
     stats.worker_expansions = tuple(d["stats"]["executed"] for d in dumps)
-    return dedup
+    for _, status, _n in term_items:
+        if status == TERMINATED:
+            stats.num_terminated += 1
+        elif status == DEADLOCK:
+            stats.num_deadlocks += 1
+        else:
+            stats.num_faults += 1
+    stubborn = _merge_stubborn(
+        [snap["stubborn"] if snap else None] + [d["stubborn"] for d in dumps]
+    )
+    return graph, edge_items, term_items, frag, dedup, stubborn
 
 
 def _emit_trace_batch(tracer, records) -> None:
@@ -1248,17 +1258,6 @@ def _read_bfs_snapshot(path, fingerprint, opts):
 def _bfs_attempt(
     program, opts, observers, checkpointer, resume_from, restarts
 ):
-    from repro.explore.explorer import (
-        ExploreStats,
-        _ObserverGuard,
-        _attached_progress,
-        _attached_registry,
-        _attached_tracer,
-        _current_rss_bytes,
-        _finalize,
-        _truncate,
-    )
-
     t0 = time.perf_counter()
     deadline = None if opts.time_limit_s is None else t0 + opts.time_limit_s
     nshards = opts.jobs
@@ -1435,20 +1434,9 @@ def _bfs_attempt(
         merge_span = (
             tracer.begin_span("parallel.merge") if tracer is not None else None
         )
-        acc.flush_pending()  # fragments that raced the dump request
-        for d in dumps:
-            acc.fold_dump(d)
-        graph, edge_items, term_items, frag = _merge_graph(
-            acc.parts,
-            snap["edges"] if snap else [],
-            snap["terminals"] if snap else [],
-            init,
-            metrics,
+        graph, edge_items, term_items, frag, dedup, merged_stubborn = (
+            _merge_dumps(pool, acc, dumps, snap, init, stats, metrics)
         )
-        dedup = _sum_dump_stats(
-            stats, dumps, acc.parts, snap["stats"] if snap else None
-        )
-        stats.msg_bytes += pool.rx_dump_bytes
         stats.merge_overlap_s = acc.overlap_s
         stats.merge_tail_s = acc.tail_s
         preloaded = (
@@ -1470,19 +1458,8 @@ def _bfs_attempt(
             if is_new:
                 guard.on_edge(graph, src, dst, actions)
         for cid, status, is_new in term_items:
-            if status == TERMINATED:
-                stats.num_terminated += 1
-            elif status == DEADLOCK:
-                stats.num_deadlocks += 1
-            else:
-                stats.num_faults += 1
             if is_new:
                 guard.on_config(graph, cid, graph.configs[cid], False, status)
-
-        merged_stubborn = _merge_stubborn(
-            [snap["stubborn"] if snap else None]
-            + [d["stubborn"] for d in dumps]
-        )
         if metrics is not None:
             for d in dumps:
                 if d["metrics"]:
@@ -1519,8 +1496,6 @@ def _quiescent_checkpoint(
     """Pause the pool at a quiescent point, snapshot, resume (unless
     ``stop_after`` says to stop).  Returns True when the engine should
     stop (the resume-equivalence "pull the plug here" knob)."""
-    from repro.explore.explorer import ExploreStats
-
     shared = pool.shared
     shared.mode.value = _PAUSE
     deadline = time.monotonic() + max(opts.parallel_watchdog_s, 5.0)
@@ -1540,27 +1515,10 @@ def _quiescent_checkpoint(
         final=False, timeout_s=_JOIN_TIMEOUT_S, on_msg=acc.on_msg,
         after_request=acc.flush_pending,
     )
-    acc.flush_pending()
-    for d in dumps:
-        acc.fold_dump(d, tail=False)
-
-    graph, _, term_items, frag = _merge_graph(
-        acc.parts,
-        snap["edges"] if snap else [],
-        snap["terminals"] if snap else [],
-        init,
-        None,
-    )
     cp_stats = ExploreStats(backend="parallel", jobs=opts.jobs)
-    _sum_dump_stats(cp_stats, dumps, acc.parts, snap["stats"] if snap else None)
-    cp_stats.msg_bytes += pool.rx_dump_bytes
-    for _, status, _n in term_items:
-        if status == TERMINATED:
-            cp_stats.num_terminated += 1
-        elif status == DEADLOCK:
-            cp_stats.num_deadlocks += 1
-        else:
-            cp_stats.num_faults += 1
+    graph, _, _, frag, _, stubborn = _merge_dumps(
+        pool, acc, dumps, snap, init, cp_stats, None, tail=False
+    )
     cp_stats.resumed = stats.resumed
     cp_stats.worker_restarts = stats.worker_restarts
     # d["parked"] entries are (owner, lid): resolve against the owner
@@ -1575,10 +1533,7 @@ def _quiescent_checkpoint(
         "options_key": opts.resume_key(),
         "graph": graph,
         "stats": cp_stats,
-        "stubborn": _merge_stubborn(
-            [snap["stubborn"] if snap else None]
-            + [d["stubborn"] for d in dumps]
-        ),
+        "stubborn": stubborn,
         "queue": queued,
         "processed": set(range(graph.num_configs)) - set(queued),
     }
@@ -1621,171 +1576,3 @@ def _merge_stubborn(parts: list) -> StubbornStats | None:
         merged.chosen_total += part.chosen_total
         merged.singleton_steps += part.singleton_steps
     return merged
-
-
-# --------------------------------------------------------------------------
-# sleep mode: master-sequenced DFS, sharded expansion servers
-# --------------------------------------------------------------------------
-
-
-def _sleep_worker_main(
-    wid, nshards, program, opts, inboxes, results, shared, store,
-    want_metrics, want_trace, trace_wall,
-):
-    """Worker process entry point (sleep mode).
-
-    Sleep-set pruning is order-dependent, so the DFS itself runs on the
-    master (:func:`repro.explore.explorer._explore_sleep`); each worker
-    only *expands* the configurations of its shard, keeping that shard's
-    memo cache and digest tables warm across requests.
-    """
-    from repro.explore.explorer import _expand
-
-    gc.disable()  # same rationale as the BFS worker entry point
-    try:
-        store.bind(wid)
-        access = _make_access(program, opts)
-        cache = ExpandCache() if getattr(opts, "memo", True) else None
-        digest_base = digest_stats()
-        wreg = None
-        if want_metrics:
-            from repro.metrics.registry import MetricsRegistry
-
-            wreg = MetricsRegistry()
-        tracer = sink = None
-        if want_trace:
-            from repro.trace.sinks import ListSink
-            from repro.trace.tracer import Tracer
-
-            sink = ListSink()
-            tracer = Tracer(sink, shard=wid, record_wall=trace_wall)
-        served = 0
-        while True:
-            msg = inboxes[wid].get()
-            if msg[0] == "expand":
-                _maybe_chaos_exit()
-                config = store.decode_config(msg[1])
-                served += 1
-                try:
-                    chaos.kick("eval")
-                    expansions = _expand(
-                        program, config, access, opts, wreg, tracer, cache
-                    )
-                    reply = (
-                        "exp", True,
-                        pickle.dumps(
-                            expansions, protocol=pickle.HIGHEST_PROTOCOL
-                        ),
-                    )
-                except Exception as exc:
-                    reply = ("exp", False, repr(exc))
-                results.put(
-                    reply + (sink.drain() if sink is not None else None,)
-                )
-            elif msg[0] == "dump":
-                if wreg is not None:
-                    from repro.explore.explorer import _emit_incremental_metrics
-
-                    _emit_incremental_metrics(wreg, cache, digest_base)
-                results.put(
-                    (
-                        "dump",
-                        wid,
-                        {
-                            "wid": wid,
-                            "served": served,
-                            "metrics": (
-                                wreg.snapshot() if wreg is not None else None
-                            ),
-                        },
-                    )
-                )
-                if msg[1]:
-                    return
-    except Exception:
-        try:
-            results.put(("crash", wid, traceback.format_exc()))
-        except Exception:
-            pass
-    finally:
-        store.close()
-
-
-def _sleep_attempt(
-    program, opts, observers, checkpointer, resume_from, restarts
-):
-    from repro.explore.explorer import (
-        _attached_registry,
-        _attached_tracer,
-        _explore_sleep,
-    )
-
-    nshards = opts.jobs
-    metrics = _attached_registry(observers)
-    tracer = _attached_tracer(observers)
-    access = _make_access(program, opts)
-    selector = _make_selector(program, access, opts.policy)
-    if selector is not None and metrics is not None:
-        selector.metrics = metrics
-
-    spawn_span = (
-        tracer.begin_span("parallel.spawn", jobs=nshards)
-        if tracer is not None
-        else None
-    )
-    pool = _Pool(
-        program, opts, nshards, 0, 0,
-        want_metrics=metrics is not None,
-        want_trace=tracer is not None,
-        trace_wall=tracer.record_wall if tracer is not None else True,
-        worker_main=_sleep_worker_main,
-    )
-    if spawn_span is not None:
-        tracer.end_span(spawn_span)
-
-    def expand_fn(config, cid):
-        """Farm one expansion to the config's shard owner (synchronous:
-        the DFS needs the result to take its next pruning decision)."""
-        pool.inboxes[shard_of(config, nshards)].put(
-            ("expand", pool.store.encode_config(config))
-        )
-        deadline = time.monotonic() + opts.parallel_watchdog_s
-        while True:
-            try:
-                msg = pool.results.get(timeout=0.05)
-                break
-            except _queue.Empty:
-                pool.check_alive()  # raises _PoolFailure past the guards
-                if time.monotonic() > deadline:
-                    raise _PoolFailure(
-                        "expansion worker unresponsive (wedged?)"
-                    )
-        if msg[0] == "crash":
-            raise ReproError(
-                f"parallel exploration worker {msg[1]} crashed:\n{msg[2]}"
-            )
-        _, ok, data, records = msg
-        if tracer is not None and records:
-            _emit_trace_batch(tracer, records)
-        if not ok:
-            # surfaces through _expand_guarded exactly like a serial
-            # expansion crash: internal-error truncation, not a retry
-            raise RuntimeError(f"worker-side expansion failed: {data}")
-        return pickle.loads(data)
-
-    try:
-        result = _explore_sleep(
-            program, opts, access, selector, observers, metrics,
-            checkpointer, resume_from,
-            expand_fn=expand_fn, backend="parallel", jobs=nshards,
-        )
-        result.stats.worker_restarts = restarts
-        dumps = pool.collect_dumps(final=True, timeout_s=_JOIN_TIMEOUT_S)
-        result.stats.worker_expansions = tuple(d["served"] for d in dumps)
-        if metrics is not None:
-            for d in dumps:
-                if d["metrics"]:
-                    metrics.merge(d["metrics"])
-        return result
-    finally:
-        pool.shutdown()

@@ -7,7 +7,7 @@ from repro.explore import (
     FAULT,
     TERMINATED,
     ExploreOptions,
-    TraceObserver,
+    TransitionLogObserver,
     explore,
 )
 from repro.lang import parse_program
@@ -85,7 +85,7 @@ def test_cyclic_state_space_terminates():
 
 
 def test_observer_sees_every_edge(fig2):
-    obs = TraceObserver()
+    obs = TransitionLogObserver()
     r = explore(fig2, "full", observers=(obs,))
     assert len(obs.edges) == r.stats.num_edges
 

@@ -53,11 +53,8 @@ def test_multiple_observers(fig2):
 
 
 def test_transition_log_observer_rename(fig2):
-    # TraceObserver is the backward-compatible alias for the renamed
-    # TransitionLogObserver (the name now belongs to repro.trace)
-    from repro.explore import TraceObserver, TransitionLogObserver
+    from repro.explore import TransitionLogObserver
 
-    assert TraceObserver is TransitionLogObserver
     ob = TransitionLogObserver()
     r = explore(fig2, "full", observers=(ob,))
     assert len(ob.edges) == r.stats.num_edges

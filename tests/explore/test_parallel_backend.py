@@ -39,8 +39,8 @@ def test_bad_jobs_rejected():
 
 
 def test_sleep_sets_compose():
-    """Sleep sets no longer force the serial backend: the master runs
-    the sleep-DFS order while workers serve sharded expansions."""
+    """Sleep sets compose with ``backend="parallel"``: the run keeps the
+    parallel tag and yields the serial sleep driver's graph."""
     par = explore(CORPUS["mutex_counter"](), options=_opts(sleep=True))
     ser = explore(
         CORPUS["mutex_counter"](), options=ExploreOptions(sleep=True)
@@ -49,6 +49,36 @@ def test_sleep_sets_compose():
     assert par.graph.configs == ser.graph.configs
     assert par.graph.edges == ser.graph.edges
     assert par.stats.expansions == ser.stats.expansions
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+@pytest.mark.parametrize("name", ["mutex_counter", "philosophers_3"])
+def test_sleep_runs_start_no_workers(monkeypatch, name, jobs):
+    """Sleep-set pruning follows one DFS order, so a parallel sleep run
+    is the serial sleep driver: no worker pool, the serial graph, and
+    stats tagged with the requested backend and jobs."""
+    from repro.explore import parallel
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a sleep-set run started a worker pool")
+
+    monkeypatch.setattr(parallel, "_Pool", no_pool)
+    program = CORPUS[name]()
+    ser = explore(program, options=ExploreOptions(sleep=True))
+    par = explore(program, options=_opts(sleep=True, jobs=jobs))
+    assert par.stats.backend == "parallel"
+    assert par.stats.jobs == jobs
+    assert par.graph.configs == ser.graph.configs
+    assert par.graph.edges == ser.graph.edges
+    assert par.graph.terminal == ser.graph.terminal
+    assert par.stats.expansions == ser.stats.expansions
+
+
+def test_explore_parallel_rejects_sleep_options():
+    from repro.explore import explore_parallel
+
+    with pytest.raises(ValueError, match="sleep"):
+        explore_parallel(CORPUS["mutex_counter"](), _opts(sleep=True))
 
 
 def test_checkpointer_composes(tmp_path):

@@ -88,17 +88,6 @@ def test_unlimited_kills_surface_as_repro_error():
             explore(program, options=_opts())
 
 
-def test_killed_worker_in_sleep_mode_restarts():
-    program = CORPUS["philosophers_3"]()
-    clean = explore(program, options=_opts(sleep=True))
-    with chaos.injected("worker", shared=True) as inj:
-        r = explore(program, options=_opts(sleep=True))
-    assert inj.armed_fired("worker") == 1
-    assert r.stats.worker_restarts == 1
-    assert r.graph.configs == clean.graph.configs
-    assert r.graph.edges == clean.graph.edges
-
-
 def test_kill_between_checkpoint_and_finish_still_resumable(tmp_path):
     """A worker kill composes with checkpointing: the interrupted-then-
     resumed run under chaos still matches the fault-free reference."""

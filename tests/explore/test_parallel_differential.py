@@ -49,9 +49,8 @@ from repro.metrics.registry import (
 )
 from repro.programs.corpus import CORPUS
 
-#: (policy, coarsen, sleep) — sleep sets compose with the parallel
-#: backend since the work-stealing rewrite (master-sequenced DFS with
-#: sharded expansion servers).
+#: (policy, coarsen, sleep) — the sleep combos run on the serial sleep
+#: driver whatever the backend, and must still match it exactly.
 PARALLEL_COMBOS = (
     ("full", False, False),
     ("stubborn", False, False),

@@ -114,10 +114,3 @@ def test_no_segment_leak_after_fatal_failure():
         with pytest.raises(ReproError):
             explore(CORPUS["philosophers_3"](), options=_opts())
     assert _segments() == before
-
-
-@needs_shm
-def test_no_segment_leak_after_sleep_mode_run():
-    before = _segments()
-    explore(CORPUS["philosophers_3"](), options=_opts(sleep=True))
-    assert _segments() == before

@@ -139,64 +139,19 @@ def test_entries_carry_resilience_fields():
         assert p["escalations"] == []
 
 
-#: A minimal PR-1 era (`/1`) document: no errors/watchdog keys, entries
-#: without the resilience fields.
-V1_DOC = {
-    "schema": "repro.bench.explore/1",
-    "metrics_schema": "repro.metrics/1",
-    "smoke": False,
-    "max_configs": 200_000,
-    "time_limit_s": None,
-    "policy_grid": ["full"],
-    "programs": {
-        "fig2_shasha_snir": {
-            "baseline": "full",
-            "policies": {
-                "full": {
-                    "policy": "full",
-                    "configs": 10,
-                    "edges": 12,
-                    "truncated": False,
-                    "wall_time_s": 0.1,
-                }
-            },
-        }
-    },
-    "totals": {"full": {"configs": 10, "edges": 12, "wall_time_s": 0.1}},
-    "truncated_runs": [],
-    "soundness": "all policies matched 'full' result configurations",
-}
-
-
-def test_upgrade_v1_document_fills_defaults():
-    doc = upgrade_document(json.loads(json.dumps(V1_DOC)))
-    assert doc["errors"] == {}
-    assert doc["watchdog_s"] is None
-    entry = doc["programs"]["fig2_shasha_snir"]["policies"]["full"]
-    assert entry["truncation_reason"] is None
-    assert entry["peak_rss_bytes"] == 0
-    assert entry["escalations"] == []
-    # fields the v1 document did carry are untouched
-    assert entry["configs"] == 10
-
-
-def test_load_report_accepts_v1_and_v2(tmp_path):
-    v1 = tmp_path / "v1.json"
-    v1.write_text(json.dumps(V1_DOC))
-    doc = load_report(str(v1))
-    assert doc["schema"] in COMPATIBLE_SCHEMAS
-    assert doc["errors"] == {}
-
+def test_load_report_reads_current_schema(tmp_path):
     report = run_bench(programs=["fig2_shasha_snir"])
-    v2 = tmp_path / "v2.json"
-    write_report(report, str(v2))
-    doc2 = load_report(str(v2))
-    assert doc2["schema"] == SCHEMA_VERSION
+    path = tmp_path / "bench.json"
+    write_report(report, str(path))
+    doc = load_report(str(path))
+    assert COMPATIBLE_SCHEMAS == (SCHEMA_VERSION,)
+    assert doc == json.loads(json.dumps(report.document))
 
 
 def test_unknown_schema_rejected():
-    with pytest.raises(ReproError, match="unsupported bench schema"):
-        upgrade_document({"schema": "repro.bench.explore/99"})
+    for schema in ("repro.bench.explore/99", "repro.bench.explore/7"):
+        with pytest.raises(ReproError, match="unsupported bench schema"):
+            upgrade_document({"schema": schema})
 
 
 # --------------------------------------------------------------------------
@@ -286,32 +241,11 @@ def test_diff_reports_refuses_mismatched_budgets():
     assert drift and "max_configs" in drift[0]
 
 
-def test_diff_reports_skips_missing_digest():
-    # an upgraded /1 baseline has result_digest=None everywhere: no
-    # false drift against a fresh /3 run
-    base = upgrade_document(json.loads(json.dumps(V1_DOC)))
-    new = upgrade_document(run_bench(programs=["fig2_shasha_snir"]).document)
-    drift = diff_reports(new, base)
-    assert not any("result_digest" in line for line in drift)
-
-
 def test_diff_reports_empty_intersection_is_loud():
     a = upgrade_document(run_bench(programs=["mutex_counter"]).document)
     b = upgrade_document(run_bench(programs=["deadlock_pair"]).document)
     drift = diff_reports(a, b)
     assert drift and "no overlapping" in drift[0]
-
-
-def test_upgrade_v2_document_fills_backend_fields():
-    doc = json.loads(json.dumps(V1_DOC))
-    doc["schema"] = "repro.bench.explore/2"
-    doc = upgrade_document(doc)
-    entry = doc["programs"]["fig2_shasha_snir"]["policies"]["full"]
-    assert entry["backend"] == "serial"
-    assert entry["jobs"] == 1
-    assert entry["shard_balance"] is None
-    assert entry["result_digest"] is None
-    assert doc["jobs"] == [] and doc["scaling"] == {}
 
 
 # --------------------------------------------------------------------------
@@ -322,14 +256,6 @@ def test_upgrade_v2_document_fills_backend_fields():
 def test_serve_section_null_unless_requested():
     report = run_bench(programs=["fig2_shasha_snir"])
     assert report.document["serve"] is None
-
-
-def test_upgrade_v4_document_gains_serve_key():
-    doc = json.loads(json.dumps(run_bench(programs=["fig2_shasha_snir"]).document))
-    doc["schema"] = "repro.bench.explore/4"
-    del doc["serve"]
-    up = upgrade_document(doc)
-    assert up["serve"] is None
 
 
 def test_diff_reports_ignores_serve_section():
@@ -371,20 +297,6 @@ def test_parallel_entries_carry_interconnect_section():
     }
     assert inter["msg_bytes"] > 0
     assert inter["cand_suppressed"] >= 0
-
-
-def test_upgrade_v7_document_gains_interconnect_key():
-    doc = json.loads(
-        json.dumps(run_bench(programs=["fig2_shasha_snir"]).document)
-    )
-    doc["schema"] = "repro.bench.explore/7"
-    for prog in doc["programs"].values():
-        for entry in prog["policies"].values():
-            del entry["interconnect"]
-    up = upgrade_document(doc)
-    for prog in up["programs"].values():
-        for entry in prog["policies"].values():
-            assert entry["interconnect"] is None
 
 
 def test_diff_reports_ignores_interconnect_drift():
