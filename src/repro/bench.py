@@ -137,9 +137,9 @@ def policy_combos() -> list[tuple[str, bool, bool]]:
 
 def parallel_combos() -> list[tuple[str, bool, bool]]:
     """The parallel-backend grid per jobs value: the same 12-point
-    policy grid as the serial sweep.  Its ``+sleep`` combos run on the
-    serial sleep driver (see :func:`repro.explore.explore`), so they
-    start no workers and record the requested ``backend``/``jobs``."""
+    policy grid as the serial sweep.  Its ``+sleep`` combos run in the
+    serial loop (see :func:`repro.explore.explore`), so they start no
+    workers and record the requested ``backend``/``jobs``."""
     return policy_combos()
 
 

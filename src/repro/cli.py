@@ -54,23 +54,98 @@ def _load(spec: str):
         return parse_program(fh.read())
 
 
-def _progress_emitter(args):
-    """Build the ``--progress-out`` NDJSON-backed emitter (or None)."""
-    if not args.progress_out:
-        return None
-    from repro.progress import NdjsonSink, ProgressEmitter
-
-    try:
-        sink = NdjsonSink(args.progress_out)
-    except OSError as exc:
-        raise ReproError(
-            f"cannot write progress frames {args.progress_out!r}: {exc}"
-        )
-    return ProgressEmitter(
-        sink,
-        interval_s=args.progress_interval,
-        every=args.progress_every,
+def _explore_options(args, **budgets) -> ExploreOptions:
+    """The exploration options behind :func:`_add_explore_options`'
+    flags, plus any command-specific *budgets*."""
+    if args.jobs < 1:
+        raise ReproError(f"--jobs must be >= 1, got {args.jobs}")
+    # --jobs N with N > 1 implies the parallel backend; --backend wins
+    # when given explicitly
+    backend = args.backend or ("parallel" if args.jobs > 1 else "serial")
+    return ExploreOptions(
+        policy=args.policy,
+        coarsen=args.coarsen,
+        sleep=args.sleep,
+        backend=backend,
+        jobs=args.jobs,
+        max_configs=args.max_configs,
+        **budgets,
     )
+
+
+class _Telemetry:
+    """The observers behind :func:`_add_telemetry_options`' flags:
+    ``metrics`` (a MetricsObserver), ``tracer`` and ``progress`` are
+    None when their flag is absent."""
+
+    def __init__(self, args) -> None:
+        observers: list = []
+        self.metrics = None
+        if args.metrics_out:
+            from repro.metrics import MetricsObserver
+
+            self.metrics = MetricsObserver()
+            observers.append(self.metrics)
+        self.tracer = None
+        self._trace_sink = None
+        if args.trace_out:
+            from repro.trace import JsonlFileSink, TraceRecorder, Tracer
+
+            try:
+                self._trace_sink = JsonlFileSink(args.trace_out)
+            except OSError as exc:
+                raise ReproError(
+                    f"cannot write trace {args.trace_out!r}: {exc}"
+                )
+            self.tracer = Tracer(self._trace_sink)
+            observers.append(TraceRecorder(self.tracer))
+        self.progress = None
+        if args.progress_out:
+            from repro.progress import NdjsonSink, ProgressEmitter
+
+            try:
+                sink = NdjsonSink(args.progress_out)
+            except OSError as exc:
+                raise ReproError(
+                    f"cannot write progress frames {args.progress_out!r}: "
+                    f"{exc}"
+                )
+            self.progress = ProgressEmitter(
+                sink,
+                interval_s=args.progress_interval,
+                every=args.progress_every,
+            )
+            observers.append(self.progress)
+        self.observers = tuple(observers)
+
+    def close(self) -> None:
+        if self._trace_sink is not None:
+            self._trace_sink.close()
+        if self.progress is not None:
+            self.progress.close()
+
+    def write_metrics(self, path: str) -> None:
+        """Dump the metrics registry as JSON to *path* (if attached)."""
+        if self.metrics is None:
+            return
+        import json
+
+        from repro.metrics import SCHEMA_VERSION as METRICS_SCHEMA
+
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(
+                    {
+                        "schema": METRICS_SCHEMA,
+                        "metrics": self.metrics.registry.snapshot(),
+                    },
+                    fh,
+                    indent=1,
+                    sort_keys=True,
+                )
+                fh.write("\n")
+        except OSError as exc:
+            raise ReproError(f"cannot write metrics {path!r}: {exc}")
 
 
 def _parse_bytes(text: str) -> int:
@@ -141,46 +216,14 @@ _POLICY_RUNG = {
 def _cmd_explore(args) -> int:
     prog = _load(args.file)
     max_rss = args.max_rss_mb * 2**20 if args.max_rss_mb else None
-    if args.jobs < 1:
-        raise ReproError(f"--jobs must be >= 1, got {args.jobs}")
-    # --jobs N with N > 1 implies the parallel backend; --backend wins
-    # when given explicitly
-    backend = args.backend or ("parallel" if args.jobs > 1 else "serial")
-    opts = ExploreOptions(
-        policy=args.policy,
-        coarsen=args.coarsen,
-        sleep=args.sleep,
-        backend=backend,
-        jobs=args.jobs,
-        max_configs=args.max_configs,
+    opts = _explore_options(
+        args,
         time_limit_s=args.time_limit,
         max_rss_bytes=max_rss,
         memo=not args.no_memo,
     )
-
-    observers: list = []
-    metrics_ob = None
-    if args.metrics_out:
-        from repro.metrics import MetricsObserver
-
-        metrics_ob = MetricsObserver()
-        observers.append(metrics_ob)
-    tracer = None
-    trace_sink = None
-    if args.trace_out:
-        from repro.trace import JsonlFileSink, TraceRecorder, Tracer
-
-        try:
-            trace_sink = JsonlFileSink(args.trace_out)
-        except OSError as exc:
-            raise ReproError(
-                f"cannot write trace {args.trace_out!r}: {exc}"
-            )
-        tracer = Tracer(trace_sink)
-        observers.append(TraceRecorder(tracer))
-    progress = _progress_emitter(args)
-    if progress is not None:
-        observers.append(progress)
+    telemetry = _Telemetry(args)
+    tracer = telemetry.tracer
 
     try:
         if args.resilient:
@@ -194,9 +237,9 @@ def _cmd_explore(args) -> int:
                     max_rss_bytes=max_rss,
                 ),
                 start=_POLICY_RUNG[args.policy],
-                backend=backend,
+                backend=opts.backend,
                 jobs=args.jobs,
-                observers=tuple(observers),
+                observers=telemetry.observers,
             )
             for line in rr.trail:
                 print(f"escalated {line}")
@@ -224,7 +267,7 @@ def _cmd_explore(args) -> int:
                 options=opts,
                 checkpointer=checkpointer,
                 resume_from=args.resume,
-                observers=tuple(observers),
+                observers=telemetry.observers,
             )
         s = result.stats
         truncated = (
@@ -288,32 +331,9 @@ def _cmd_explore(args) -> int:
                         final_digest=f"{schedule.final_digest:#018x}",
                     )
     finally:
-        if trace_sink is not None:
-            trace_sink.close()
-        if progress is not None:
-            progress.close()
+        telemetry.close()
 
-    if metrics_ob is not None:
-        import json
-
-        from repro.metrics import SCHEMA_VERSION as METRICS_SCHEMA
-
-        try:
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                json.dump(
-                    {
-                        "schema": METRICS_SCHEMA,
-                        "metrics": metrics_ob.registry.snapshot(),
-                    },
-                    fh,
-                    indent=1,
-                    sort_keys=True,
-                )
-                fh.write("\n")
-        except OSError as exc:
-            raise ReproError(
-                f"cannot write metrics {args.metrics_out!r}: {exc}"
-            )
+    telemetry.write_metrics(args.metrics_out)
     return 0
 
 
@@ -358,45 +378,16 @@ def _cmd_schedules(args) -> int:
               "recorded configuration digests")
         return 0
 
-    if args.jobs < 1:
-        raise ReproError(f"--jobs must be >= 1, got {args.jobs}")
-    backend = args.backend or ("parallel" if args.jobs > 1 else "serial")
-    opts = ExploreOptions(
-        policy=args.policy,
-        coarsen=args.coarsen,
-        sleep=args.sleep,
-        backend=backend,
-        jobs=args.jobs,
-        max_configs=args.max_configs,
-    )
-
-    observers: list = []
-    metrics_ob = None
-    if args.metrics_out:
-        from repro.metrics import MetricsObserver
-
-        metrics_ob = MetricsObserver()
-        observers.append(metrics_ob)
-    tracer = None
-    trace_sink = None
-    if args.trace_out:
-        from repro.trace import JsonlFileSink, TraceRecorder, Tracer
-
-        try:
-            trace_sink = JsonlFileSink(args.trace_out)
-        except OSError as exc:
-            raise ReproError(
-                f"cannot write trace {args.trace_out!r}: {exc}"
-            )
-        tracer = Tracer(trace_sink)
-        observers.append(TraceRecorder(tracer))
-    progress = _progress_emitter(args)
-    if progress is not None:
-        observers.append(progress)
+    opts = _explore_options(args)
+    telemetry = _Telemetry(args)
+    tracer, progress = telemetry.tracer, telemetry.progress
 
     try:
-        result = explore(prog, options=opts, observers=tuple(observers))
-        registry = metrics_ob.registry if metrics_ob is not None else None
+        result = explore(prog, options=opts, observers=telemetry.observers)
+        registry = (
+            telemetry.metrics.registry if telemetry.metrics is not None
+            else None
+        )
         sset = generate(
             result,
             sample=args.sample,
@@ -448,10 +439,7 @@ def _cmd_schedules(args) -> int:
                 replays=replayed,
             )
     finally:
-        if trace_sink is not None:
-            trace_sink.close()
-        if progress is not None:
-            progress.close()
+        telemetry.close()
 
     if args.out:
         try:
@@ -470,25 +458,7 @@ def _cmd_schedules(args) -> int:
     if args.print_schedules:
         document = schedule_document(sset)
         print(dumps_document(document), end="")
-    if metrics_ob is not None:
-        from repro.metrics import SCHEMA_VERSION as METRICS_SCHEMA
-
-        try:
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                json.dump(
-                    {
-                        "schema": METRICS_SCHEMA,
-                        "metrics": metrics_ob.registry.snapshot(),
-                    },
-                    fh,
-                    indent=1,
-                    sort_keys=True,
-                )
-                fh.write("\n")
-        except OSError as exc:
-            raise ReproError(
-                f"cannot write metrics {args.metrics_out!r}: {exc}"
-            )
+    telemetry.write_metrics(args.metrics_out)
     return 0
 
 
@@ -867,6 +837,38 @@ def _cmd_demo(args) -> int:
     return _cmd_analyze(args)
 
 
+def _add_explore_options(p) -> None:
+    """The exploration flags ``explore`` and ``schedules`` share (read
+    back by :func:`_explore_options`)."""
+    p.add_argument("--policy", default="stubborn",
+                   choices=["full", "stubborn", "stubborn-proc"])
+    p.add_argument("--coarsen", action="store_true")
+    p.add_argument("--sleep", action="store_true")
+    p.add_argument("--backend", choices=["serial", "parallel"], default=None,
+                   help="exploration driver (default: serial, or parallel "
+                        "when --jobs > 1)")
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="worker processes for the parallel backend")
+    p.add_argument("--max-configs", type=int, default=1_000_000)
+
+
+def _add_telemetry_options(p, *, trace_help: str, progress_help: str) -> None:
+    """The telemetry flags ``explore`` and ``schedules`` share (read
+    back by :class:`_Telemetry`)."""
+    p.add_argument("--metrics-out", metavar="PATH", default=None,
+                   help="dump the run's metrics registry as JSON to PATH")
+    p.add_argument("--trace-out", metavar="PATH", default=None,
+                   help=trace_help)
+    p.add_argument("--progress-out", metavar="PATH", default=None,
+                   help=progress_help)
+    p.add_argument("--progress-interval", type=float, default=1.0,
+                   metavar="S", help="seconds between progress frames "
+                        "(default: 1.0)")
+    p.add_argument("--progress-every", type=int, default=None, metavar="N",
+                   help="emit a frame every N driver steps instead of on "
+                        "a wall-clock interval (deterministic cadence)")
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="repro",
@@ -889,16 +891,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("explore", help="build the configuration graph")
     p.add_argument("file")
-    p.add_argument("--policy", default="stubborn",
-                   choices=["full", "stubborn", "stubborn-proc"])
-    p.add_argument("--coarsen", action="store_true")
-    p.add_argument("--sleep", action="store_true")
-    p.add_argument("--backend", choices=["serial", "parallel"], default=None,
-                   help="exploration driver (default: serial, or parallel "
-                        "when --jobs > 1)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes for the parallel backend")
-    p.add_argument("--max-configs", type=int, default=1_000_000)
+    _add_explore_options(p)
     p.add_argument("--time-limit", type=float, default=None,
                    help="wall-clock budget in seconds (graceful truncation)")
     p.add_argument("--max-rss-mb", type=int, default=None,
@@ -918,20 +911,13 @@ def main(argv: list[str] | None = None) -> int:
                    "to cheaper sound policies, then abstract folding")
     p.add_argument("--witness", choices=["deadlock", "fault"], default=None,
                    help="print the shortest execution reaching the event")
-    p.add_argument("--metrics-out", metavar="PATH", default=None,
-                   help="dump the run's metrics registry as JSON to PATH")
-    p.add_argument("--trace-out", metavar="PATH", default=None,
-                   help="stream a structured span/event trace (JSONL) to "
-                        "PATH; render it with 'repro report'")
-    p.add_argument("--progress-out", metavar="PATH", default=None,
-                   help="stream live progress frames (NDJSON) to PATH; "
-                        "tail them with 'repro watch PATH'")
-    p.add_argument("--progress-interval", type=float, default=1.0,
-                   metavar="S", help="seconds between progress frames "
-                        "(default: 1.0)")
-    p.add_argument("--progress-every", type=int, default=None, metavar="N",
-                   help="emit a frame every N driver steps instead of on "
-                        "a wall-clock interval (deterministic cadence)")
+    _add_telemetry_options(
+        p,
+        trace_help="stream a structured span/event trace (JSONL) to "
+        "PATH; render it with 'repro report'",
+        progress_help="stream live progress frames (NDJSON) to PATH; "
+        "tail them with 'repro watch PATH'",
+    )
     p.set_defaults(fn=_cmd_explore)
 
     p = sub.add_parser(
@@ -941,16 +927,7 @@ def main(argv: list[str] | None = None) -> int:
         "with coverage accounting",
     )
     p.add_argument("file")
-    p.add_argument("--policy", default="stubborn",
-                   choices=["full", "stubborn", "stubborn-proc"])
-    p.add_argument("--coarsen", action="store_true")
-    p.add_argument("--sleep", action="store_true")
-    p.add_argument("--backend", choices=["serial", "parallel"], default=None,
-                   help="exploration driver (default: serial, or parallel "
-                        "when --jobs > 1)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes for the parallel backend")
-    p.add_argument("--max-configs", type=int, default=1_000_000)
+    _add_explore_options(p)
     p.add_argument("--sample", type=int, default=None, metavar="N",
                    help="seeded sampling: stop after N distinct classes "
                         "(without-replacement walk; bit-deterministic "
@@ -974,20 +951,13 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--replay", metavar="SCHED.json", default=None,
                    help="replay a previously emitted schedule document "
                         "against FILE instead of generating")
-    p.add_argument("--metrics-out", metavar="PATH", default=None,
-                   help="dump the run's metrics registry as JSON to PATH")
-    p.add_argument("--trace-out", metavar="PATH", default=None,
-                   help="stream a structured trace (JSONL) to PATH; the "
-                        "schedules.done event feeds 'repro report'")
-    p.add_argument("--progress-out", metavar="PATH", default=None,
-                   help="stream live progress frames (NDJSON) to PATH "
-                        "(exploration and enumeration both feed it)")
-    p.add_argument("--progress-interval", type=float, default=1.0,
-                   metavar="S", help="seconds between progress frames "
-                        "(default: 1.0)")
-    p.add_argument("--progress-every", type=int, default=None, metavar="N",
-                   help="emit a frame every N driver steps instead of on "
-                        "a wall-clock interval (deterministic cadence)")
+    _add_telemetry_options(
+        p,
+        trace_help="stream a structured trace (JSONL) to PATH; the "
+        "schedules.done event feeds 'repro report'",
+        progress_help="stream live progress frames (NDJSON) to PATH "
+        "(exploration and enumeration both feed it)",
+    )
     p.set_defaults(fn=_cmd_schedules)
 
     p = sub.add_parser(

@@ -12,7 +12,8 @@ Policies
 Orthogonally, ``coarsen=True`` fuses thread-local runs into atomic
 blocks (virtual coarsening, Observation 5).
 
-Exploration is breadth-first and fully deterministic.
+Exploration is fully deterministic: breadth-first, or depth-first
+with ``sleep=True`` (sleep sets, :mod:`repro.explore.sleepsets`).
 
 Resilience
 ----------
@@ -57,7 +58,8 @@ from repro.explore.coarsen import build_block
 from repro.explore.expansion import Expansion
 from repro.explore.graph import DEADLOCK, FAULT, TERMINATED, ConfigGraph
 from repro.explore.memo import ExpandCache, expand_memoized
-from repro.explore.observers import Observer
+from repro.explore.observers import Observer, attached
+from repro.explore.sleepsets import entry_of, independent, transition_key
 from repro.explore.stubborn import StubbornSelector, StubbornStats
 from repro.lang.program import Program
 from repro.resilience import chaos
@@ -285,16 +287,26 @@ def explore(
     options must match the snapshot, else
     :class:`~repro.resilience.checkpoint.CheckpointError`).
 
-    ``expand_cache`` seeds the serial drivers' footprint-memo cache
+    ``expand_cache`` seeds the serial loop's footprint-memo cache
     with a caller-owned (possibly pre-warmed) instance — the analysis
     service's warm-start hook.  The caller keeps the reference, so it
     can export the filled cache afterwards.  Ignored when
     ``opts.memo`` is off; the parallel BFS keeps its own per-shard
     caches and ignores it too.
 
-    Sleep-set pruning follows one DFS order, so ``sleep=True`` runs on
-    the serial sleep driver whatever the backend; its stats still name
-    the requested ``backend``/``jobs``.
+    One serial loop drives every run that stays in this process; only
+    the frontier discipline differs.  Without sleep sets it is a FIFO
+    queue (:class:`_Fifo`, breadth-first, snapshot ``driver="bfs"``).
+    Sleep-set pruning follows one DFS order, so ``sleep=True`` uses a
+    stack of ``(cid, sleep set)`` (:class:`_SleepStack`, snapshot
+    ``driver="sleep"``) whatever the backend; its stats still name the
+    requested ``backend``/``jobs``.  ``backend="parallel"`` without
+    sleep sets goes to :func:`repro.explore.parallel.explore_parallel`.
+
+    ``max_configs`` is checked once per fresh configuration: the run
+    truncates right after inserting the one that takes the graph past
+    the budget.  A resumed snapshot already over ``max_configs``
+    therefore keeps expanding until its next fresh configuration.
     """
     opts = (
         options
@@ -322,19 +334,11 @@ def explore(
 
     access = _make_access(program, opts)
     selector = _make_selector(program, access, opts.policy)
-    metrics = _attached_registry(observers)
+    metrics = attached(observers, "registry")
     if selector is not None and metrics is not None:
         selector.metrics = metrics
-    tracer = _attached_tracer(observers)
-    progress = _attached_progress(observers)
-
-    if opts.sleep:
-        return _explore_sleep(
-            program, opts, access, selector, observers, metrics,
-            checkpointer, resume_from, expand_cache=expand_cache,
-            backend=opts.backend, jobs=opts.jobs if parallel else 1,
-        )
-
+    tracer = attached(observers, "tracer")
+    progress = attached(observers, "progress")
     rounds = None
     if tracer is not None:
         from repro.trace.tracer import SpanChunker
@@ -352,21 +356,18 @@ def explore(
         cache = expand_cache if expand_cache is not None else ExpandCache()
     digest_base = digest_stats()
 
+    discipline = _SleepStack if opts.sleep else _Fifo
     if resume_from is not None:
         payload = read_snapshot(
             resume_from,
-            driver="bfs",
+            driver=discipline.driver,
             fingerprint=fingerprint,
             options_key=opts.resume_key(),
         )
         graph = payload["graph"]
         stats = payload["stats"]
-        queue: deque[int] = deque(payload["queue"])
-        processed: set[int] = payload["processed"]
+        frontier = discipline.restore(payload)
         stats.resumed = True
-        # snapshots are cross-backend (a parallel run may have written
-        # this one): the backend tag describes *this* run, not the donor
-        stats.backend, stats.jobs = "serial", 1
         graph.metrics = metrics
         if selector is not None and payload.get("stubborn") is not None:
             selector.stats = payload["stubborn"]
@@ -379,8 +380,10 @@ def explore(
         )
         init_id, _ = graph.add_config(init)
         graph.initial = init_id
-        queue = deque([init_id])
-        processed = set()
+        frontier = discipline.start(init_id)
+    # snapshots are cross-backend (a parallel run may have written a
+    # "bfs" one): the backend tag describes *this* run, not the donor
+    stats.backend, stats.jobs = opts.backend, opts.jobs if parallel else 1
     guard = _ObserverGuard(observers, stats, metrics, tracer)
     if resume_from is None:
         # observers see every configuration, the initial one included
@@ -391,45 +394,41 @@ def explore(
 
     def payload_now() -> dict:
         return {
-            "driver": "bfs",
+            "driver": frontier.driver,
             "fingerprint": fingerprint,
             "options_key": opts.resume_key(),
             "graph": graph,
             "stats": stats,
             "stubborn": selector.stats if selector is not None else None,
-            "queue": list(queue),
-            "processed": processed,
+            **frontier.fields(),
         }
 
-    while queue:
+    while frontier:
         if deadline is not None and time.perf_counter() > deadline:
             _truncate(stats, "time", tracer)
-            queue.clear()
             break
         if checkpointer is not None and checkpointer.tick(payload_now):
             _truncate(stats, "interrupted", tracer)
             break
-        cid = queue.popleft()
-        if cid in processed:
+        cid = frontier.pop()
+        if cid is None:
             continue
-        processed.add(cid)
         config = graph.configs[cid]
         stats.expansions += 1
         if rounds is not None:
             rounds.tick()
         if not _within_memory_budget(stats, opts):
             _truncate(stats, "memory", tracer)
-            queue.clear()
             break
         if metrics is not None:
             metrics.inc("explore.expansions")
-            metrics.observe("explore.frontier_depth", len(queue))
+            metrics.observe("explore.frontier_depth", len(frontier))
         if progress is not None and progress.due():
             progress.emit(
                 "explore",
                 configs=graph.num_configs,
                 edges=graph.num_edges,
-                frontier=len(queue),
+                frontier=len(frontier),
                 expansions=stats.expansions,
                 cache_hits=cache.hits if cache is not None else 0,
                 cache_misses=cache.misses if cache is not None else 0,
@@ -455,23 +454,26 @@ def explore(
             selector, expansions, enabled, stats, metrics, tracer
         )
 
-        for exp in chosen:
+        children: list[tuple[int, bool, Expansion]] = []
+        for exp in frontier.awake(chosen):
             succ = exp.succ
             assert succ is not None
             dst, fresh = graph.add_config(succ)
-            graph.add_edge(cid, dst, exp.actions)
-            stats.actions_executed += len(exp.actions)
-            guard.on_edge(graph, cid, dst, exp.actions)
-            if fresh:
-                guard.on_config(graph, dst, succ, True, None)
-                if graph.num_configs > opts.max_configs:
-                    _truncate(stats, "configs", tracer)
-                    queue.clear()
-                    break
-                queue.append(dst)
-
+            if frontier.new_edge(cid, dst, exp):
+                graph.add_edge(cid, dst, exp.actions)
+                stats.actions_executed += len(exp.actions)
+                guard.on_edge(graph, cid, dst, exp.actions)
+                if fresh:
+                    guard.on_config(graph, dst, succ, True, None)
+                    if graph.num_configs > opts.max_configs:
+                        _truncate(stats, "configs", tracer)
+                        break
+            children.append((dst, fresh, exp))
+        # truncated by the budget above, or by an engine fault at an
+        # earlier configuration: stop, abandoning the frontier
         if stats.truncated:
             break
+        frontier.push(children)
 
     if rounds is not None:
         rounds.close()
@@ -482,49 +484,141 @@ def explore(
     )
 
 
+class _Fifo:
+    """Breadth-first frontier: a FIFO queue of configuration ids plus
+    the set already expanded (snapshot ``driver="bfs"``)."""
+
+    driver = "bfs"
+
+    def __init__(self, queue, processed: set[int]) -> None:
+        self.queue: deque[int] = deque(queue)
+        self.processed = processed
+
+    @classmethod
+    def start(cls, init_id: int) -> _Fifo:
+        return cls([init_id], set())
+
+    @classmethod
+    def restore(cls, payload: dict) -> _Fifo:
+        return cls(payload["queue"], payload["processed"])
+
+    def fields(self) -> dict:
+        return {"queue": list(self.queue), "processed": self.processed}
+
+    def __len__(self) -> int:
+        return len(self.queue)
+
+    def pop(self) -> int | None:
+        """The next configuration to expand, or None (skip) when it was
+        already expanded."""
+        cid = self.queue.popleft()
+        if cid in self.processed:
+            return None
+        self.processed.add(cid)
+        return cid
+
+    @staticmethod
+    def awake(chosen: list[Expansion]) -> list[Expansion]:
+        return chosen
+
+    @staticmethod
+    def new_edge(cid: int, dst: int, exp: Expansion) -> bool:
+        return True
+
+    def push(self, children) -> None:
+        """Queue the fresh successors, in selection order."""
+        self.queue.extend(dst for dst, fresh, _ in children if fresh)
+
+
+class _SleepStack:
+    """Depth-first frontier with sleep sets (see
+    :mod:`repro.explore.sleepsets`): a stack of ``(cid, sleep set)``,
+    the sleep sets each configuration was explored with, and the edges
+    already recorded (snapshot ``driver="sleep"``).  A configuration is
+    re-expanded only under a sleep set no earlier visit's set is
+    contained in, so it may be popped, and expanded, more than once."""
+
+    driver = "sleep"
+
+    def __init__(
+        self,
+        stack: list[tuple[int, frozenset]],
+        explored: dict[int, list[frozenset]],
+        seen_edges: set[tuple],
+    ) -> None:
+        self.stack = stack
+        self.explored = explored
+        self.seen_edges = seen_edges
+        #: the sleep set of the configuration being expanded
+        self.sleep: frozenset = frozenset()
+
+    @classmethod
+    def start(cls, init_id: int) -> _SleepStack:
+        return cls([(init_id, frozenset())], {}, set())
+
+    @classmethod
+    def restore(cls, payload: dict) -> _SleepStack:
+        return cls(
+            payload["stack"], payload["explored"], payload["seen_edges"]
+        )
+
+    def fields(self) -> dict:
+        return {
+            "explored": self.explored,
+            "seen_edges": self.seen_edges,
+            "stack": list(self.stack),
+        }
+
+    def __len__(self) -> int:
+        return len(self.stack)
+
+    def pop(self) -> int | None:
+        """The next configuration to expand, or None (skip) when an
+        earlier visit's sleep set is contained in this one's."""
+        cid, sleep = self.stack.pop()
+        prev = self.explored.get(cid)
+        if prev is not None and any(p <= sleep for p in prev):
+            return None
+        if prev is None:
+            self.explored[cid] = [sleep]
+        else:
+            prev[:] = [p for p in prev if not sleep <= p]
+            prev.append(sleep)
+        self.sleep = sleep
+        return cid
+
+    def awake(self, chosen: list[Expansion]) -> list[Expansion]:
+        """The chosen expansions whose transition is not asleep."""
+        sleeping_keys = {z.key for z in self.sleep}
+        return [
+            e for e in chosen if transition_key(e.proc) not in sleeping_keys
+        ]
+
+    def new_edge(self, cid: int, dst: int, exp: Expansion) -> bool:
+        """Record the edge once: a revisit under another sleep set
+        re-derives edges the graph already has."""
+        ekey = (cid, dst, tuple(a.label for a in exp.actions))
+        if ekey in self.seen_edges:
+            return False
+        self.seen_edges.add(ekey)
+        return True
+
+    def push(self, children) -> None:
+        """Stack every awake successor with its child sleep set."""
+        done: list = []
+        pending: list[tuple[int, frozenset]] = []
+        for dst, _, exp in children:
+            child_sleep = frozenset(
+                z for z in (set(self.sleep) | set(done)) if independent(z, exp)
+            )
+            pending.append((dst, child_sleep))
+            done.append(entry_of(exp))
+        # push in reverse so the first sibling is explored first (its
+        # sleep set is the smallest)
+        self.stack.extend(reversed(pending))
+
+
 # --------------------------------------------------------------------------
-
-
-def _attached_registry(observers):
-    """The metrics registry of the first observer exposing one, or None.
-
-    Duck-typed (any observer with a non-None ``registry`` attribute
-    counts) so this module need not import :mod:`repro.metrics`; when it
-    returns None the engine skips every telemetry update.
-    """
-    for ob in observers:
-        reg = getattr(ob, "registry", None)
-        if reg is not None:
-            return reg
-    return None
-
-
-def _attached_tracer(observers):
-    """The tracer of the first observer exposing one, or None.
-
-    Same duck-typed contract as :func:`_attached_registry` (attach a
-    :class:`repro.trace.TraceRecorder`); None means every span/event
-    site in the engine is a single ``is not None`` test.
-    """
-    for ob in observers:
-        tracer = getattr(ob, "tracer", None)
-        if tracer is not None:
-            return tracer
-    return None
-
-
-def _attached_progress(observers):
-    """The progress emitter of the first observer exposing one, or None.
-
-    Same duck-typed contract as :func:`_attached_registry` (attach a
-    :class:`repro.progress.ProgressEmitter`); None means every snapshot
-    site in the drivers is a single ``is not None`` test.
-    """
-    for ob in observers:
-        progress = getattr(ob, "progress", None)
-        if progress is not None:
-            return progress
-    return None
 
 
 class _ObserverGuard:
@@ -623,9 +717,9 @@ def _expand_guarded(
 ) -> list[Expansion] | None:
     """Expansion with engine-bug isolation: an exception here loses this
     configuration's successors, so the run is marked truncated
-    (``internal-error``) — but it never raises.  Every driver expands
-    through here: the serial BFS, the sleep-set DFS (on every backend),
-    and the parallel BFS workers."""
+    (``internal-error``) — but it never raises.  Both drivers expand
+    through here: the serial loop (FIFO or sleep-set stack, the latter
+    on every backend) and the parallel BFS workers."""
     try:
         chaos.kick("eval")
         return _expand(program, config, access, opts, metrics, tracer, cache)
@@ -695,9 +789,9 @@ def _terminal_status_fast(config: Config) -> str | None:
 
 
 def _mark_terminal(graph, cid, config, status, stats, guard) -> None:
-    """Classify a terminal configuration — shared by both drivers.
+    """Classify a terminal configuration reached by the serial loop.
 
-    Idempotent: the sleep-set driver can revisit a configuration under a
+    Idempotent: the sleep-set stack can revisit a configuration under a
     different sleep set; only the first visit counts and notifies.
     """
     if cid in graph.terminal:
@@ -717,8 +811,9 @@ def _finalize(
     checkpointer=None, tracer=None, cache=None, digest_base=None,
     progress=None,
 ) -> ExploreResult:
-    """Stat finalization + ``on_done`` fan-out — shared by both drivers
-    (including truncated runs, so observers always see completion)."""
+    """Stat finalization + ``on_done`` fan-out — shared by the serial
+    loop and the parallel backend (including truncated runs, so
+    observers always see completion)."""
     stats.num_configs = graph.num_configs
     stats.num_edges = graph.num_edges
     stats.stubborn = selector.stats if selector is not None else None
@@ -820,201 +915,6 @@ def _emit_incremental_metrics(metrics, cache, digest_base) -> None:
     )
     if reused + fresh:
         metrics.set_gauge("digest.incremental_rate", reused / (reused + fresh))
-
-
-def _explore_sleep(
-    program: Program,
-    opts: ExploreOptions,
-    access: AccessAnalysis,
-    selector,
-    observers: tuple[Observer, ...],
-    metrics=None,
-    checkpointer: Checkpointer | None = None,
-    resume_from: str | None = None,
-    *,
-    backend: str = "serial",
-    jobs: int = 1,
-    expand_cache: ExpandCache | None = None,
-) -> ExploreResult:
-    """Depth-first exploration with sleep sets (see
-    :mod:`repro.explore.sleepsets`), composable with any policy.
-
-    Sleep-set pruning is order-dependent, so this one sequential DFS
-    serves every backend: ``backend="parallel"`` runs it unchanged in
-    the calling process, and *backend*/*jobs* only tag the stats with
-    what was requested.  One driver is also what keeps checkpoints
-    (``driver="sleep"``) and the graph bit-identical across backends.
-    """
-    from repro.explore.sleepsets import entry_of, independent, transition_key
-
-    tracer = _attached_tracer(observers)
-    progress = _attached_progress(observers)
-    rounds = None
-    if tracer is not None:
-        from repro.trace.tracer import SpanChunker
-
-        rounds = SpanChunker(tracer, "explore.round")
-    if checkpointer is not None:
-        checkpointer.tracer = tracer
-
-    t0 = time.perf_counter()
-    deadline = None if opts.time_limit_s is None else t0 + opts.time_limit_s
-    fingerprint = program_fingerprint(program)
-    if not opts.memo:
-        cache = None
-    else:
-        cache = expand_cache if expand_cache is not None else ExpandCache()
-    digest_base = digest_stats()
-
-    if resume_from is not None:
-        payload = read_snapshot(
-            resume_from,
-            driver="sleep",
-            fingerprint=fingerprint,
-            options_key=opts.resume_key(),
-        )
-        graph = payload["graph"]
-        stats = payload["stats"]
-        explored: dict[int, list[frozenset]] = payload["explored"]
-        seen_edges: set[tuple] = payload["seen_edges"]
-        stack: list[tuple[int, frozenset]] = payload["stack"]
-        stats.resumed = True
-        graph.metrics = metrics
-        if selector is not None and payload.get("stubborn") is not None:
-            selector.stats = payload["stubborn"]
-    else:
-        graph = ConfigGraph()
-        graph.metrics = metrics
-        stats = ExploreStats()
-        init = initial_config(
-            program, track_procstrings=opts.step.track_procstrings
-        )
-        init_id, _ = graph.add_config(init)
-        graph.initial = init_id
-        # per-config list of sleep sets it has been explored with
-        explored = {}
-        seen_edges = set()
-        stack = [(init_id, frozenset())]
-    stats.backend, stats.jobs = backend, jobs
-    guard = _ObserverGuard(observers, stats, metrics, tracer)
-    if resume_from is None:
-        guard.on_config(
-            graph, graph.initial, graph.configs[graph.initial], True, None
-        )
-
-    def payload_now() -> dict:
-        return {
-            "driver": "sleep",
-            "fingerprint": fingerprint,
-            "options_key": opts.resume_key(),
-            "graph": graph,
-            "stats": stats,
-            "stubborn": selector.stats if selector is not None else None,
-            "explored": explored,
-            "seen_edges": seen_edges,
-            "stack": list(stack),
-        }
-
-    while stack:
-        if deadline is not None and time.perf_counter() > deadline:
-            _truncate(stats, "time", tracer)
-            stack.clear()
-            break
-        if checkpointer is not None and checkpointer.tick(payload_now):
-            _truncate(stats, "interrupted", tracer)
-            break
-        cid, sleep = stack.pop()
-        prev = explored.get(cid)
-        if prev is not None and any(p <= sleep for p in prev):
-            continue
-        if prev is None:
-            explored[cid] = [sleep]
-        else:
-            prev[:] = [p for p in prev if not sleep <= p]
-            prev.append(sleep)
-        config = graph.configs[cid]
-        stats.expansions += 1
-        if rounds is not None:
-            rounds.tick()
-        if not _within_memory_budget(stats, opts):
-            _truncate(stats, "memory", tracer)
-            stack.clear()
-            break
-        if metrics is not None:
-            metrics.inc("explore.expansions")
-            metrics.observe("explore.frontier_depth", len(stack))
-        if progress is not None and progress.due():
-            progress.emit(
-                "explore",
-                configs=graph.num_configs,
-                edges=graph.num_edges,
-                frontier=len(stack),
-                expansions=stats.expansions,
-                cache_hits=cache.hits if cache is not None else 0,
-                cache_misses=cache.misses if cache is not None else 0,
-            )
-
-        status = _terminal_status_fast(config)
-        if status is not None:
-            _mark_terminal(graph, cid, config, status, stats, guard)
-            continue
-
-        expansions = _expand_guarded(
-            program, config, cid, access, opts, stats, metrics, tracer,
-            cache=cache,
-        )
-        if expansions is None:
-            continue
-        enabled = [e for e in expansions if e.enabled]
-        if not enabled:
-            _mark_terminal(graph, cid, config, DEADLOCK, stats, guard)
-            continue
-
-        chosen = _select_guarded(
-            selector, expansions, enabled, stats, metrics, tracer
-        )
-        sleeping_keys = {z.key for z in sleep}
-        active = [
-            e for e in chosen if transition_key(e.proc) not in sleeping_keys
-        ]
-
-        done: list = []
-        pending: list[tuple[int, frozenset]] = []
-        for exp in active:
-            succ = exp.succ
-            assert succ is not None
-            dst, fresh = graph.add_config(succ)
-            ekey = (cid, dst, tuple(a.label for a in exp.actions))
-            if ekey not in seen_edges:
-                seen_edges.add(ekey)
-                graph.add_edge(cid, dst, exp.actions)
-                stats.actions_executed += len(exp.actions)
-                guard.on_edge(graph, cid, dst, exp.actions)
-                if fresh:
-                    guard.on_config(graph, dst, succ, True, None)
-            if graph.num_configs > opts.max_configs:
-                _truncate(stats, "configs", tracer)
-                stack.clear()
-                pending.clear()
-                break
-            child_sleep = frozenset(
-                z for z in (set(sleep) | set(done)) if independent(z, exp)
-            )
-            pending.append((dst, child_sleep))
-            done.append(entry_of(exp))
-        # push in reverse so the first sibling is explored first (its
-        # sleep set is the smallest)
-        stack.extend(reversed(pending))
-        if stats.truncated:
-            break
-
-    if rounds is not None:
-        rounds.close()
-    return _finalize(
-        program, graph, stats, opts, access, selector, guard, metrics, t0,
-        checkpointer, tracer, cache=cache, digest_base=digest_base,
-        progress=progress,
-    )
 
 
 def _expand(

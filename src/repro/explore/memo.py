@@ -45,7 +45,7 @@ Soundness notes (why delta replay is exact):
   time and count as ``uncacheable``.
 
 The cache is bounded (LRU over process keys, capped entries per key)
-with eviction counters; serial drivers share one instance per run, the
+with eviction counters; the serial loop shares one instance per run, the
 parallel backend creates one per shard worker.
 
 Persistence

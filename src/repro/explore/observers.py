@@ -12,6 +12,24 @@ from repro.semantics.config import Config
 from repro.semantics.step import ActionInfo
 
 
+def attached(observers, attr: str):
+    """The *attr* attribute of the first observer exposing a non-None
+    one, or None.
+
+    Duck-typed so the engine need not import the telemetry packages:
+    ``"registry"`` finds a :class:`repro.metrics.MetricsObserver`'s
+    registry, ``"tracer"`` a :class:`repro.trace.TraceRecorder`'s
+    tracer, ``"progress"`` a :class:`repro.progress.ProgressEmitter`.
+    None means every instrumentation site is a single ``is not None``
+    test.
+    """
+    for ob in observers:
+        value = getattr(ob, attr, None)
+        if value is not None:
+            return value
+    return None
+
+
 class Observer:
     """Base observer; all callbacks default to no-ops.
 

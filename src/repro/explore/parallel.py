@@ -50,11 +50,11 @@ Composition
 -----------
 * ``sleep=True`` never reaches this module: sleep-set pruning follows
   one DFS order, so :func:`repro.explore.explorer.explore` runs every
-  sleep-set exploration on the serial sleep driver
-  (:func:`repro.explore.explorer._explore_sleep`) and only tags its
-  stats with the requested backend and ``jobs``.  Workers could only
-  wait on that DFS: farming its expansions out to them measured
-  3-5x slower than serial on a 2-vCPU host, for the same graph.
+  sleep-set exploration in its own serial loop, with the sleep-set
+  stack frontier, and only tags its stats with the requested backend
+  and ``jobs``.  Workers could only wait on that DFS: farming its
+  expansions out to them measured 3-5x slower than serial on a 2-vCPU
+  host, for the same graph.
 * checkpoint/resume: the master pauses the pool (workers park ready
   tasks; quiescence is ``outstanding == suspended``), collects shard
   dumps, and writes the same ``driver="bfs"`` snapshot the serial
@@ -85,9 +85,6 @@ from collections import deque
 from repro.explore.explorer import (
     ExploreStats,
     _ObserverGuard,
-    _attached_progress,
-    _attached_registry,
-    _attached_tracer,
     _current_rss_bytes,
     _emit_incremental_metrics,
     _expand_guarded,
@@ -100,6 +97,7 @@ from repro.explore.explorer import (
 )
 from repro.explore.graph import DEADLOCK, TERMINATED, ConfigGraph
 from repro.explore.memo import ExpandCache
+from repro.explore.observers import attached
 from repro.explore.stubborn import StubbornStats
 from repro.lang.program import Program
 from repro.resilience import chaos
@@ -351,7 +349,7 @@ class _Worker:
         mode = self.shared.mode.value
         if mode == _DRAIN:
             # truncated run: register + resolve the edge, expand nothing
-            # (mirrors the serial driver's cleared-queue configurations)
+            # (mirrors the serial loop's abandoned frontier)
             self.d_out -= 1
             return lid
         status = _terminal_status_fast(config)
@@ -481,7 +479,7 @@ class _Worker:
     def _drop_tasks(self) -> None:
         """DRAIN mode: already-queued tasks are never expanded (their
         configurations stay registered, exactly like the serial
-        driver's cleared queue)."""
+        loop's abandoned frontier)."""
         n = len(self.ready) + len(self.stolen) + len(self.parked)
         if not n:
             return
@@ -809,9 +807,9 @@ def explore_parallel(
     the identical graph; ``stats.worker_restarts`` reports how many
     attempts it took.
 
-    Sleep-set options are rejected: ``explore()`` runs those on the
-    serial sleep driver, so reaching here with them means a caller
-    bypassed it.
+    Sleep-set options are rejected: ``explore()`` runs those on its
+    serial loop's sleep-set stack, so reaching here with them means a
+    caller bypassed it.
     """
     if opts.sleep:
         raise ValueError(
@@ -1261,9 +1259,9 @@ def _bfs_attempt(
     t0 = time.perf_counter()
     deadline = None if opts.time_limit_s is None else t0 + opts.time_limit_s
     nshards = opts.jobs
-    metrics = _attached_registry(observers)
-    tracer = _attached_tracer(observers)
-    emitter = _attached_progress(observers)
+    metrics = attached(observers, "registry")
+    tracer = attached(observers, "tracer")
+    emitter = attached(observers, "progress")
     digest_base = digest_stats()
     access = _make_access(program, opts)
     fingerprint = program_fingerprint(program)

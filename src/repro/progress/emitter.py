@@ -14,7 +14,7 @@ telemetry plane existed.
 Frames follow the trace plane's wall-clock quarantine: every
 scheduling- or wall-clock-dependent field is ``wall_``-prefixed, so
 :func:`repro.trace.tracer.strip_wall` of a frame stream is
-deterministic for the serial drivers under a count-based cadence
+deterministic for the serial loop under a count-based cadence
 (``every=``).  Parallel-backend fields (shard depths, steal counts) are
 operational by nature — scheduling-dependent like
 ``ExploreStats.steals`` — and are documented as such rather than

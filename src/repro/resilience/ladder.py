@@ -41,6 +41,7 @@ from repro.explore.explorer import (
     explore,
 )
 from repro.explore.graph import ConfigGraph
+from repro.explore.observers import attached
 from repro.lang.program import Program
 from repro.semantics.step import StepOptions
 
@@ -112,37 +113,6 @@ class ResilientResult:
         return f"rung={self.rung} after " + "; ".join(self.trail)
 
 
-def _registry_of(observers):
-    """Duck-typed metrics registry discovery (same contract as the
-    exploration driver's)."""
-    for ob in observers:
-        reg = getattr(ob, "registry", None)
-        if reg is not None:
-            return reg
-    return None
-
-
-def _tracer_of(observers):
-    """Duck-typed tracer discovery (same contract as the exploration
-    driver's ``_attached_tracer``): escalations become trace events."""
-    for ob in observers:
-        tracer = getattr(ob, "tracer", None)
-        if tracer is not None:
-            return tracer
-    return None
-
-
-def _progress_of(observers):
-    """Duck-typed progress-emitter discovery (same contract as the
-    exploration driver's ``_attached_progress``): the current rung rides
-    every frame, and rung transitions become ``ladder`` frames."""
-    for ob in observers:
-        progress = getattr(ob, "progress", None)
-        if progress is not None:
-            return progress
-    return None
-
-
 def _empty_result(program: Program, opts: ExploreOptions) -> ExploreResult:
     """A truthful zero-result for the pathological case where every rung
     crashed before producing anything."""
@@ -211,9 +181,11 @@ def explore_resilient(
                 f"unknown ladder rung {start!r}; known: {', '.join(names)}"
             )
         rungs = rungs[names.index(start):]
-    metrics = _registry_of(observers)
-    tracer = _tracer_of(observers)
-    progress = _progress_of(observers)
+    metrics = attached(observers, "registry")
+    # escalations become trace events; the current rung rides every
+    # progress frame, and rung transitions become ``ladder`` frames
+    tracer = attached(observers, "tracer")
+    progress = attached(observers, "progress")
 
     escalations: list[Escalation] = []
     last: ExploreResult | None = None

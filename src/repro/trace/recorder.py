@@ -11,7 +11,7 @@ single ``is not None`` test.
 
 from __future__ import annotations
 
-from repro.explore.observers import Observer
+from repro.explore.observers import Observer, attached
 from repro.trace.sinks import ListSink, RingBufferSink
 from repro.trace.tracer import Tracer
 
@@ -55,8 +55,4 @@ class TraceRecorder(Observer):
 def attached_tracer(observers) -> Tracer | None:
     """The tracer of the first observer exposing one, or None — how the
     engine decides whether to record spans and events."""
-    for ob in observers:
-        tracer = getattr(ob, "tracer", None)
-        if tracer is not None:
-            return tracer
-    return None
+    return attached(observers, "tracer")

@@ -169,7 +169,7 @@ class Tracer:
 class SpanChunker:
     """Rotating span series for loop-shaped work without natural phases.
 
-    The serial drivers have no frontier rounds, so their
+    The serial loop has no frontier rounds, so its
     ``explore.round`` spans are chunks of *every* expansions each —
     deterministic (tick counts, not wall-clock, decide the boundaries)
     and cheap (one integer compare per tick).  ``close()`` flushes the

@@ -237,3 +237,73 @@ def test_mid_write_crash_through_checkpointer(tmp_path):
         cp.tick(lambda: {"driver": "bfs", "n": 2, "pad": list(range(4096))})
     assert cp.faults == 1
     assert read_snapshot(path)["n"] == 1
+
+
+#: Keys every snapshot carries, whichever frontier discipline wrote it.
+_COMMON_KEYS = {
+    "schema", "driver", "fingerprint", "options_key", "graph", "stats",
+    "stubborn",
+}
+
+
+def _mid_run_snapshot(tmp_path, opts):
+    """The pickled document of the first checkpoint of a run that is
+    interrupted there (so its frontier is non-empty)."""
+    from repro.programs.philosophers import philosophers
+
+    path = str(tmp_path / "snap.ckpt")
+    cp = Checkpointer(path, every=5, stop_after=1)
+    result = explore(philosophers(3), options=opts, checkpointer=cp)
+    assert result.stats.truncation_reason == "interrupted"
+    with open(path, "rb") as fh:
+        return pickle.load(fh)
+
+
+def _check_common(payload, opts):
+    from repro.explore import ConfigGraph, ExploreStats, StubbornStats
+
+    assert payload["schema"] == CHECKPOINT_SCHEMA
+    assert isinstance(payload["fingerprint"], str)
+    assert payload["options_key"] == opts.resume_key()
+    assert isinstance(payload["graph"], ConfigGraph)
+    assert isinstance(payload["stats"], ExploreStats)
+    assert isinstance(payload["stubborn"], StubbornStats)
+
+
+def test_bfs_payload_format(tmp_path):
+    opts = ExploreOptions(policy="stubborn", coarsen=True)
+    payload = _mid_run_snapshot(tmp_path, opts)
+    assert payload["driver"] == "bfs"
+    assert set(payload) == _COMMON_KEYS | {"queue", "processed"}
+    _check_common(payload, opts)
+    queue, processed = payload["queue"], payload["processed"]
+    assert type(queue) is list and queue
+    assert all(type(cid) is int for cid in queue)
+    assert type(processed) is set and processed
+    assert all(type(cid) is int for cid in processed)
+
+
+def test_sleep_payload_format(tmp_path):
+    from repro.explore.sleepsets import SleepEntry
+
+    opts = ExploreOptions(policy="stubborn", coarsen=True, sleep=True)
+    payload = _mid_run_snapshot(tmp_path, opts)
+    assert payload["driver"] == "sleep"
+    assert set(payload) == _COMMON_KEYS | {"explored", "seen_edges", "stack"}
+    _check_common(payload, opts)
+    explored = payload["explored"]
+    assert type(explored) is dict and explored
+    for cid, sleeps in explored.items():
+        assert type(cid) is int and type(sleeps) is list
+        assert all(type(s) is frozenset for s in sleeps)
+    seen_edges = payload["seen_edges"]
+    assert type(seen_edges) is set and seen_edges
+    for src, dst, labels in seen_edges:
+        assert type(src) is int and type(dst) is int
+        assert type(labels) is tuple
+        assert all(type(label) is str for label in labels)
+    stack = payload["stack"]
+    assert type(stack) is list and stack
+    for cid, sleep in stack:
+        assert type(cid) is int and type(sleep) is frozenset
+        assert all(type(z) is SleepEntry for z in sleep)
