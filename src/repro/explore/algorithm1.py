@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 from repro.analyses.accesses import AccessAnalysis, matches
 from repro.explore.expansion import Expansion
-from repro.explore.stubborn import StubbornStats
+from repro.explore.stubborn import StubbornSelector, StubbornStats
 from repro.lang.instructions import IThreadEnd
 from repro.lang.program import Program
 from repro.semantics.config import JOINING, Pid, Process
@@ -64,14 +64,7 @@ class AlgorithmOneSelector:
     #: exploration driver when telemetry is attached)
     metrics: object | None = field(default=None, repr=False, compare=False)
 
-    def _record(self, enabled: int, chosen: int) -> None:
-        self.stats.record(enabled, chosen)
-        m = self.metrics
-        if m is not None:
-            m.observe("stubborn.enabled", enabled)
-            m.observe("stubborn.chosen", chosen)
-            if chosen == 1:
-                m.inc("stubborn.singleton_steps")
+    _record = StubbornSelector._record
 
     def select(self, expansions: list[Expansion]) -> list[Expansion]:
         by_pid: dict[Pid, Expansion] = {e.pid: e for e in expansions}

@@ -40,6 +40,7 @@ The engine degrades instead of crashing (see
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import os
 import sys
@@ -62,6 +63,7 @@ from repro.explore.observers import Observer, attached
 from repro.explore.sleepsets import entry_of, independent, transition_key
 from repro.explore.stubborn import StubbornSelector, StubbornStats
 from repro.lang.program import Program
+from repro.metrics.registry import MetricsRegistry
 from repro.resilience import chaos
 from repro.resilience.checkpoint import (
     Checkpointer,
@@ -136,7 +138,9 @@ class ExploreOptions:
 
 @dataclass
 class ExploreStats:
-    """Counters reported by the engine."""
+    """What the engine reports about one run: counters, a view of the
+    run's registry through :data:`STATS_SERIES` and :data:`PEAK_RSS`
+    (continued from the snapshot's on a resumed run), and metadata."""
 
     num_configs: int = 0
     num_edges: int = 0
@@ -209,6 +213,38 @@ class ExploreStats:
             return None
         mean = sum(self.shard_sizes) / len(self.shard_sizes)
         return max(self.shard_sizes) / mean
+
+
+#: The one name table: each :class:`ExploreStats` counter and the
+#: registry series that counts it.
+STATS_SERIES = {
+    "num_terminated": f"explore.terminal.{TERMINATED}",
+    "num_deadlocks": f"explore.terminal.{DEADLOCK}",
+    "num_faults": f"explore.terminal.{FAULT}",
+    "expansions": "explore.expansions",
+    "actions_executed": "explore.actions",
+    "degraded_observers": "explore.observer_faults",
+    "selector_faults": "explore.selector_faults",
+    "engine_faults": "explore.engine_faults",
+    "handoffs": "parallel.handoffs",
+    "steals": "parallel.steals",
+    "msg_bytes": "parallel.msg_bytes",
+    "cand_msgs": "parallel.cand_msgs",
+    "cand_suppressed": "parallel.cand_suppressed",
+}
+#: The gauge ``ExploreStats.peak_rss_bytes`` reads (merges keep the max).
+PEAK_RSS = "explore.peak_rss_bytes"
+
+
+def _stats_view(base: ExploreStats, run: MetricsRegistry) -> ExploreStats:
+    """*base* (a fresh run's metadata, or the resumed snapshot's stats)
+    with the counts in *run* added on top."""
+    view = dataclasses.replace(
+        base,
+        **{f: getattr(base, f) + run.get(s) for f, s in STATS_SERIES.items()},
+    )
+    view.peak_rss_bytes = max(base.peak_rss_bytes, int(run.get(PEAK_RSS)))
+    return view
 
 
 @dataclass
@@ -335,8 +371,11 @@ def explore(
     access = _make_access(program, opts)
     selector = _make_selector(program, access, opts.policy)
     metrics = attached(observers, "registry")
-    if selector is not None and metrics is not None:
-        selector.metrics = metrics
+    # the run's own registry; deep instrumentation needs an attached one
+    run = MetricsRegistry()
+    deep = run if metrics is not None else None
+    if selector is not None:
+        selector.metrics = deep
     tracer = attached(observers, "tracer")
     progress = attached(observers, "progress")
     rounds = None
@@ -368,12 +407,12 @@ def explore(
         stats = payload["stats"]
         frontier = discipline.restore(payload)
         stats.resumed = True
-        graph.metrics = metrics
+        graph.metrics = deep
         if selector is not None and payload.get("stubborn") is not None:
             selector.stats = payload["stubborn"]
     else:
         graph = ConfigGraph()
-        graph.metrics = metrics
+        graph.metrics = deep
         stats = ExploreStats()
         init = initial_config(
             program, track_procstrings=opts.step.track_procstrings
@@ -384,13 +423,16 @@ def explore(
     # snapshots are cross-backend (a parallel run may have written a
     # "bfs" one): the backend tag describes *this* run, not the donor
     stats.backend, stats.jobs = opts.backend, opts.jobs if parallel else 1
-    guard = _ObserverGuard(observers, stats, metrics, tracer)
+    guard = _ObserverGuard(observers, run, tracer)
     if resume_from is None:
         # observers see every configuration, the initial one included
         # (the parallel merge notifies it too — keep the counts equal)
         guard.on_config(
             graph, graph.initial, graph.configs[graph.initial], True, None
         )
+    expanded = run.counter("explore.expansions")
+    peak = run.gauge(PEAK_RSS)
+    n0 = stats.expansions  # a resumed run counts on from its snapshot
 
     def payload_now() -> dict:
         return {
@@ -398,90 +440,92 @@ def explore(
             "fingerprint": fingerprint,
             "options_key": opts.resume_key(),
             "graph": graph,
-            "stats": stats,
+            "stats": _stats_view(stats, run),
             "stubborn": selector.stats if selector is not None else None,
             **frontier.fields(),
         }
 
-    while frontier:
-        if deadline is not None and time.perf_counter() > deadline:
-            _truncate(stats, "time", tracer)
-            break
-        if checkpointer is not None and checkpointer.tick(payload_now):
-            _truncate(stats, "interrupted", tracer)
-            break
-        cid = frontier.pop()
-        if cid is None:
-            continue
-        config = graph.configs[cid]
-        stats.expansions += 1
-        if rounds is not None:
-            rounds.tick()
-        if not _within_memory_budget(stats, opts):
-            _truncate(stats, "memory", tracer)
-            break
-        if metrics is not None:
-            metrics.inc("explore.expansions")
-            metrics.observe("explore.frontier_depth", len(frontier))
-        if progress is not None and progress.due():
-            progress.emit(
-                "explore",
-                configs=graph.num_configs,
-                edges=graph.num_edges,
-                frontier=len(frontier),
-                expansions=stats.expansions,
-                cache_hits=cache.hits if cache is not None else 0,
-                cache_misses=cache.misses if cache is not None else 0,
+    try:
+        while frontier:
+            if deadline is not None and time.perf_counter() > deadline:
+                _truncate(stats, "time", tracer)
+                break
+            if checkpointer is not None and checkpointer.tick(payload_now):
+                _truncate(stats, "interrupted", tracer)
+                break
+            cid = frontier.pop()
+            if cid is None:
+                continue
+            config = graph.configs[cid]
+            expanded.value += 1
+            if rounds is not None:
+                rounds.tick()
+            if not _within_memory_budget(n0 + expanded.value, peak, opts):
+                _truncate(stats, "memory", tracer)
+                break
+            if deep is not None:
+                deep.observe("explore.frontier_depth", len(frontier))
+            if progress is not None and progress.due():
+                progress.emit(
+                    "explore",
+                    configs=graph.num_configs,
+                    edges=graph.num_edges,
+                    frontier=len(frontier),
+                    expansions=n0 + expanded.value,
+                    cache_hits=cache.hits if cache is not None else 0,
+                    cache_misses=cache.misses if cache is not None else 0,
+                )
+
+            status = _terminal_status_fast(config)
+            if status is not None:
+                _mark_terminal(graph, cid, config, status, guard)
+                continue
+
+            expansions = _expand_guarded(
+                program, config, cid, access, opts, run, deep, tracer,
+                cache=cache,
             )
+            if expansions is None:
+                _truncate(stats, "internal-error", tracer)
+                continue
+            enabled = [e for e in expansions if e.enabled]
+            if not enabled:
+                _mark_terminal(graph, cid, config, DEADLOCK, guard)
+                continue
 
-        status = _terminal_status_fast(config)
-        if status is not None:
-            _mark_terminal(graph, cid, config, status, stats, guard)
-            continue
+            chosen = _select_guarded(selector, expansions, enabled, run, tracer)
 
-        expansions = _expand_guarded(
-            program, config, cid, access, opts, stats, metrics, tracer,
-            cache=cache,
+            children: list[tuple[int, bool, Expansion]] = []
+            for exp in frontier.awake(chosen):
+                succ = exp.succ
+                assert succ is not None
+                dst, fresh = graph.add_config(succ)
+                if frontier.new_edge(cid, dst, exp):
+                    graph.add_edge(cid, dst, exp.actions)
+                    guard.on_edge(graph, cid, dst, exp.actions)
+                    if fresh:
+                        guard.on_config(graph, dst, succ, True, None)
+                        if graph.num_configs > opts.max_configs:
+                            _truncate(stats, "configs", tracer)
+                            break
+                children.append((dst, fresh, exp))
+            # truncated by the budget above, or by an engine fault at an
+            # earlier configuration: stop, abandoning the frontier
+            if stats.truncated:
+                break
+            frontier.push(children)
+
+        if rounds is not None:
+            rounds.close()
+        return _finalize(
+            program, graph, stats, run, opts, access, selector, guard,
+            metrics, t0, checkpointer, tracer, cache=cache,
+            digest_base=digest_base, progress=progress,
         )
-        if expansions is None:
-            continue
-        enabled = [e for e in expansions if e.enabled]
-        if not enabled:
-            _mark_terminal(graph, cid, config, DEADLOCK, stats, guard)
-            continue
-
-        chosen = _select_guarded(
-            selector, expansions, enabled, stats, metrics, tracer
-        )
-
-        children: list[tuple[int, bool, Expansion]] = []
-        for exp in frontier.awake(chosen):
-            succ = exp.succ
-            assert succ is not None
-            dst, fresh = graph.add_config(succ)
-            if frontier.new_edge(cid, dst, exp):
-                graph.add_edge(cid, dst, exp.actions)
-                stats.actions_executed += len(exp.actions)
-                guard.on_edge(graph, cid, dst, exp.actions)
-                if fresh:
-                    guard.on_config(graph, dst, succ, True, None)
-                    if graph.num_configs > opts.max_configs:
-                        _truncate(stats, "configs", tracer)
-                        break
-            children.append((dst, fresh, exp))
-        # truncated by the budget above, or by an engine fault at an
-        # earlier configuration: stop, abandoning the frontier
-        if stats.truncated:
-            break
-        frontier.push(children)
-
-    if rounds is not None:
-        rounds.close()
-    return _finalize(
-        program, graph, stats, opts, access, selector, guard, metrics, t0,
-        checkpointer, tracer, cache=cache, digest_base=digest_base,
-        progress=progress,
-    )
+    except BaseException:
+        # a run that raises still reports the work it did
+        _publish(run, metrics)
+        raise
 
 
 class _Fifo:
@@ -622,24 +666,25 @@ class _SleepStack:
 
 
 class _ObserverGuard:
-    """Fault isolation for observer dispatch.
+    """Fault isolation for observer dispatch, and the one place graph
+    events are counted: every notification (the parallel merge's too)
+    passes through here and is counted into the run's registry first.
 
-    An observer that raises is logged, counted in
-    ``stats.degraded_observers``, and dropped for the rest of the run;
-    its co-observers keep receiving every event.  The ``observer`` chaos
-    point fires inside the per-observer try so injected faults take the
-    same path as real ones.
+    An observer that raises is logged, counted, and dropped for the
+    rest of the run; its co-observers keep receiving every event.  The
+    ``observer`` chaos point fires inside the per-observer try so
+    injected faults take the same path as real ones.
     """
 
-    __slots__ = ("live", "stats", "metrics", "tracer")
+    __slots__ = ("live", "run", "tracer", "configs", "edges", "actions")
 
-    def __init__(
-        self, observers, stats: ExploreStats, metrics, tracer=None
-    ) -> None:
+    def __init__(self, observers, run: MetricsRegistry, tracer=None) -> None:
         self.live: list = list(observers)
-        self.stats = stats
-        self.metrics = metrics
+        self.run = run
         self.tracer = tracer
+        self.configs = run.counter("explore.configs")
+        self.edges = run.counter("explore.edges")
+        self.actions = run.counter("explore.actions")
 
     def _dispatch(self, method: str, *args) -> None:
         if not self.live:
@@ -651,9 +696,7 @@ class _ObserverGuard:
                 getattr(ob, method)(*args)
             except Exception as exc:
                 dead.append(ob)
-                self.stats.degraded_observers += 1
-                if self.metrics is not None:
-                    self.metrics.inc("explore.observer_faults")
+                self.run.inc("explore.observer_faults")
                 if self.tracer is not None:
                     self.tracer.event(
                         "explore.observer_evicted",
@@ -669,9 +712,15 @@ class _ObserverGuard:
             self.live = [ob for ob in self.live if ob not in dead]
 
     def on_config(self, graph, cid, config, fresh, status) -> None:
+        if fresh:
+            self.configs.value += 1
+        if status is not None:
+            self.run.inc(f"explore.terminal.{status}")
         self._dispatch("on_config", graph, cid, config, fresh, status)
 
     def on_edge(self, graph, src, dst, actions) -> None:
+        self.edges.value += 1
+        self.actions.value += len(actions)
         self._dispatch("on_edge", graph, src, dst, actions)
 
     def on_done(self, graph) -> None:
@@ -701,36 +750,36 @@ def _current_rss_bytes() -> int:
     return 0
 
 
-def _within_memory_budget(stats: ExploreStats, opts: ExploreOptions) -> bool:
-    """Sample RSS periodically; False when the budget is blown."""
-    if stats.expansions % _RSS_SAMPLE_EVERY != 1:
+def _within_memory_budget(expansions: int, peak, opts: ExploreOptions) -> bool:
+    """Sample RSS into the *peak* gauge every ``_RSS_SAMPLE_EVERY``
+    expansions; False when the budget is blown."""
+    if expansions % _RSS_SAMPLE_EVERY != 1:
         return True
     rss = _current_rss_bytes()
-    if rss > stats.peak_rss_bytes:
-        stats.peak_rss_bytes = rss
+    if rss > peak.value:
+        peak.value = rss
     return opts.max_rss_bytes is None or rss <= opts.max_rss_bytes
 
 
 def _expand_guarded(
-    program, config, cid, access, opts, stats, metrics, tracer=None,
+    program, config, cid, access, opts, run, metrics, tracer=None,
     cache=None,
 ) -> list[Expansion] | None:
     """Expansion with engine-bug isolation: an exception here loses this
-    configuration's successors, so the run is marked truncated
-    (``internal-error``) — but it never raises.  Both drivers expand
-    through here: the serial loop (FIFO or sleep-set stack, the latter
-    on every backend) and the parallel BFS workers."""
+    configuration's successors, so it is counted in
+    ``explore.engine_faults`` and None tells the caller to mark the run
+    truncated (``internal-error``) — but it never raises.  Both drivers
+    expand through here: the serial loop (FIFO or sleep-set stack, the
+    latter on every backend) and the parallel BFS workers."""
     try:
         chaos.kick("eval")
         return _expand(program, config, access, opts, metrics, tracer, cache)
     except Exception as exc:
-        stats.engine_faults += 1
-        _truncate(stats, "internal-error", tracer)
-        if metrics is not None:
-            metrics.inc("explore.engine_faults")
+        faults = run.counter("explore.engine_faults")
+        faults.value += 1
         # warn once, demote repeats: a bug hit at every configuration
         # would otherwise flood the log (the count is in the stats)
-        level = logging.WARNING if stats.engine_faults == 1 else logging.DEBUG
+        level = logging.WARNING if faults.value == 1 else logging.DEBUG
         LOG.log(
             level,
             "expansion of configuration %d failed (%s); its successors "
@@ -740,7 +789,7 @@ def _expand_guarded(
 
 
 def _select_guarded(
-    selector, expansions, enabled, stats, metrics, tracer=None
+    selector, expansions, enabled, run, tracer=None
 ) -> list[Expansion]:
     """Stubborn selection with fallback: on a selector crash, expand the
     full enabled set at this configuration (always sound — a superset of
@@ -751,33 +800,29 @@ def _select_guarded(
     reduction decision, visible on the timeline."""
     if selector is None:
         return enabled
-    if tracer is not None:
-        handle = tracer.begin_span("stubborn.closure", enabled=len(enabled))
-        chosen = _select_fallback(selector, expansions, enabled, stats, metrics)
-        tracer.end_span(handle, chosen=len(chosen))
-        return chosen
-    return _select_fallback(selector, expansions, enabled, stats, metrics)
-
-
-def _select_fallback(
-    selector, expansions, enabled, stats, metrics
-) -> list[Expansion]:
+    handle = (
+        tracer.begin_span("stubborn.closure", enabled=len(enabled))
+        if tracer is not None
+        else None
+    )
     try:
         chaos.kick("selector")
-        return selector.select(expansions)
+        chosen = selector.select(expansions)
     except Exception as exc:
-        stats.selector_faults += 1
-        if metrics is not None:
-            metrics.inc("explore.selector_faults")
+        faults = run.counter("explore.selector_faults")
+        faults.value += 1
         # a selector broken at every configuration would flood the log:
         # warn once, then demote repeats (the count is in the stats)
-        level = logging.WARNING if stats.selector_faults == 1 else logging.DEBUG
+        level = logging.WARNING if faults.value == 1 else logging.DEBUG
         LOG.log(
             level,
             "stubborn selector failed (%s); expanding the full enabled "
             "set at this configuration", exc,
         )
-        return enabled
+        chosen = enabled
+    if handle is not None:
+        tracer.end_span(handle, chosen=len(chosen))
+    return chosen
 
 
 def _terminal_status_fast(config: Config) -> str | None:
@@ -788,7 +833,7 @@ def _terminal_status_fast(config: Config) -> str | None:
     return None
 
 
-def _mark_terminal(graph, cid, config, status, stats, guard) -> None:
+def _mark_terminal(graph, cid, config, status, guard) -> None:
     """Classify a terminal configuration reached by the serial loop.
 
     Idempotent: the sleep-set stack can revisit a configuration under a
@@ -797,55 +842,66 @@ def _mark_terminal(graph, cid, config, status, stats, guard) -> None:
     if cid in graph.terminal:
         return
     graph.mark_terminal(cid, status)
-    if status == TERMINATED:
-        stats.num_terminated += 1
-    elif status == DEADLOCK:
-        stats.num_deadlocks += 1
-    else:
-        stats.num_faults += 1
     guard.on_config(graph, cid, config, False, status)
 
 
 def _finalize(
-    program, graph, stats, opts, access, selector, guard, metrics, t0,
+    program, graph, base, run, opts, access, selector, guard, metrics, t0,
     checkpointer=None, tracer=None, cache=None, digest_base=None,
     progress=None,
 ) -> ExploreResult:
-    """Stat finalization + ``on_done`` fan-out — shared by the serial
-    loop and the parallel backend (including truncated runs, so
-    observers always see completion)."""
+    """``on_done`` fan-out, the stats (*base* plus the counts in *run*),
+    and publishing *run* into the attached registry *metrics*, then the
+    last-write gauges derived from all it holds — shared by both
+    drivers, truncated runs included."""
+    guard.on_done(graph)
+    run.gauge(PEAK_RSS).set(max(run.get(PEAK_RSS), _current_rss_bytes()))
+    elapsed = time.perf_counter() - t0
+    if metrics is not None:
+        run.timer("explore.wall_s").add(elapsed)
+        _count_incremental(run, cache, digest_base)
+    stats = _stats_view(base, run)
     stats.num_configs = graph.num_configs
     stats.num_edges = graph.num_edges
     stats.stubborn = selector.stats if selector is not None else None
     if checkpointer is not None:
         stats.checkpoints_written = checkpointer.written
         stats.checkpoint_faults += checkpointer.faults
-    rss = _current_rss_bytes()
-    if rss > stats.peak_rss_bytes:
-        stats.peak_rss_bytes = rss
+    done = dict(
+        configs=stats.num_configs,
+        edges=stats.num_edges,
+        terminated=stats.num_terminated,
+        deadlocks=stats.num_deadlocks,
+        faults=stats.num_faults,
+        truncated=stats.truncated,
+        reason=stats.truncation_reason,
+    )
+    if tracer is not None:
+        # args deliberately backend-neutral: the cross-backend trace
+        # comparison asserts this event's args are equal serial vs jobs=N
+        tracer.event("explore.done", **done)
+    if progress is not None:
+        progress.emit("done", expansions=stats.expansions, **done)
     if metrics is not None:
-        elapsed = time.perf_counter() - t0
-        metrics.timer("explore.wall_s").add(elapsed)
+        _publish(run, metrics)
         metrics.set_gauge(
             "explore.expansions_per_s",
             stats.expansions / elapsed if elapsed > 0 else 0.0,
         )
-        metrics.set_gauge("explore.peak_rss_bytes", stats.peak_rss_bytes)
-        _emit_incremental_metrics(metrics, cache, digest_base)
-    if tracer is not None:
-        # args deliberately backend-neutral: the cross-backend trace
-        # comparison asserts this event's args are equal serial vs jobs=N
-        tracer.event(
-            "explore.done",
-            configs=stats.num_configs,
-            edges=stats.num_edges,
-            terminated=stats.num_terminated,
-            deadlocks=stats.num_deadlocks,
-            faults=stats.num_faults,
-            truncated=stats.truncated,
-            reason=stats.truncation_reason,
-        )
-        if metrics is not None:
+        metrics.set_gauge(PEAK_RSS, stats.peak_rss_bytes)
+        metrics.set_gauge("graph.configs", stats.num_configs)
+        metrics.set_gauge("graph.edges", stats.num_edges)
+        # the derived rates, from all the attached registry holds
+        for rate, hit, miss in (
+            ("expand.cache_hit_rate", "expand.cache_hits",
+             "expand.cache_misses"),
+            ("digest.incremental_rate", "digest.incremental",
+             "digest.component_new"),
+        ):
+            total = metrics.get(hit) + metrics.get(miss)
+            if total:
+                metrics.set_gauge(rate, metrics.get(hit) / total)
+        if tracer is not None:
             # surface ring-buffer truncation: a trace missing spans must
             # be distinguishable from a complete one
             dropped = sum(
@@ -853,68 +909,41 @@ def _finalize(
             )
             if dropped:
                 metrics.set_gauge("trace.dropped_spans", dropped)
-    if progress is not None:
-        progress.emit(
-            "done",
-            configs=stats.num_configs,
-            edges=stats.num_edges,
-            terminated=stats.num_terminated,
-            deadlocks=stats.num_deadlocks,
-            faults=stats.num_faults,
-            expansions=stats.expansions,
-            truncated=stats.truncated,
-            reason=stats.truncation_reason,
-        )
-    guard.on_done(graph)
     return ExploreResult(
         program=program, graph=graph, stats=stats, options=opts, access=access
     )
 
 
-def _emit_incremental_metrics(metrics, cache, digest_base) -> None:
-    """Fold incremental-engine telemetry into the registry.
+def _publish(run: MetricsRegistry, metrics) -> None:
+    """Merge a run's registry into the attached one, if any.  A counter
+    that never moved stays absent, like an event that never happened;
+    the parallel interconnect series are reported even at zero."""
+    if metrics is not None:
+        metrics.merge({
+            name: data for name, data in run.snapshot().items()
+            if data["type"] != "counter" or data["value"]
+            or name.startswith("parallel.")
+        })
 
-    *cache* carries the serial driver's expansion-memo counters (the
-    parallel backend merges per-worker counters into the registry before
-    :func:`_finalize`, so it passes None here); *digest_base* is the
-    process-global :func:`~repro.semantics.config.digest_stats` snapshot
-    taken at run start, so only this run's digest work is counted.  The
-    derived rate gauges are computed from whatever ended up in the
-    registry, identically for both backends.
-    """
+
+def _count_incremental(registry, cache, digest_base) -> None:
+    """Count the expansion memo's work (*cache*, if the caller drove
+    one) and this run's share of the process-global
+    :func:`~repro.semantics.config.digest_stats` into *registry*."""
     if cache is not None:
         for name, val in cache.counters().items():
             if val:
-                metrics.inc(name, val)
-    if digest_base is not None:
-        now = digest_stats()
-        for stat, name in (
-            ("component_reused", "digest.incremental"),
-            ("component_new", "digest.component_new"),
-            ("config_composed", "digest.config_composed"),
-            ("config_cached", "digest.config_cached"),
-        ):
-            delta = now[stat] - digest_base[stat]
-            if delta:
-                metrics.inc(name, delta)
-    hits = metrics.value("expand.cache_hits") if "expand.cache_hits" in metrics else 0
-    misses = (
-        metrics.value("expand.cache_misses")
-        if "expand.cache_misses" in metrics
-        else 0
-    )
-    if hits + misses:
-        metrics.set_gauge("expand.cache_hit_rate", hits / (hits + misses))
-    reused = (
-        metrics.value("digest.incremental") if "digest.incremental" in metrics else 0
-    )
-    fresh = (
-        metrics.value("digest.component_new")
-        if "digest.component_new" in metrics
-        else 0
-    )
-    if reused + fresh:
-        metrics.set_gauge("digest.incremental_rate", reused / (reused + fresh))
+                registry.inc(name, val)
+    now = digest_stats()
+    for stat, name in (
+        ("component_reused", "digest.incremental"),
+        ("component_new", "digest.component_new"),
+        ("config_composed", "digest.config_composed"),
+        ("config_cached", "digest.config_cached"),
+    ):
+        delta = now[stat] - digest_base[stat]
+        if delta:
+            registry.inc(name, delta)
 
 
 def _expand(

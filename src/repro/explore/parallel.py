@@ -83,23 +83,28 @@ import traceback
 from collections import deque
 
 from repro.explore.explorer import (
+    PEAK_RSS,
+    STATS_SERIES,
     ExploreStats,
-    _ObserverGuard,
+    _count_incremental,
     _current_rss_bytes,
-    _emit_incremental_metrics,
     _expand_guarded,
     _finalize,
     _make_access,
     _make_selector,
+    _ObserverGuard,
+    _publish,
     _select_guarded,
+    _stats_view,
     _terminal_status_fast,
     _truncate,
 )
-from repro.explore.graph import DEADLOCK, TERMINATED, ConfigGraph
+from repro.explore.graph import DEADLOCK, ConfigGraph
 from repro.explore.memo import ExpandCache
 from repro.explore.observers import attached
 from repro.explore.stubborn import StubbornStats
 from repro.lang.program import Program
+from repro.metrics.registry import MetricsRegistry
 from repro.resilience import chaos
 from repro.resilience.checkpoint import (
     program_fingerprint,
@@ -186,7 +191,7 @@ class _Shared:
         self.qdepth = ctx.RawArray("q", nshards)
         #: per-worker completed steal count, written by the thief alone
         #: (live telemetry for the master's progress frames; the exact
-        #: total still comes from the summed worker stats at the end)
+        #: total comes from the workers' registries at the end)
         self.steals = ctx.RawArray("q", nshards)
         #: per-worker interconnect bytes / suppressed candidates, written
         #: by the sender alone — live telemetry like ``steals``
@@ -261,14 +266,20 @@ class _Worker:
         self.selector = _make_selector(program, self.access, opts.policy)
         self.cache = ExpandCache() if getattr(opts, "memo", True) else None
         self.digest_base = digest_stats()
-        self.stats = ExploreStats()
-        self.wreg = None
-        if want_metrics:
-            from repro.metrics.registry import MetricsRegistry
-
-            self.wreg = MetricsRegistry()
-            if self.selector is not None:
-                self.selector.metrics = self.wreg
+        # the worker's counts, shipped with every dump (deep
+        # instrumentation only when the master has a registry attached)
+        self.registry = MetricsRegistry()
+        self.metrics = self.registry if want_metrics else None
+        if self.selector is not None:
+            self.selector.metrics = self.metrics
+        counter = self.registry.counter
+        self.expansions = counter("explore.expansions")
+        self.dedup_hits = counter("explore.intern.hits")
+        self.handoffs = counter("parallel.handoffs")
+        self.steals = counter("parallel.steals")
+        self.msg_bytes = counter("parallel.msg_bytes")
+        self.cand_msgs = counter("parallel.cand_msgs")
+        self.cand_suppressed = counter("parallel.cand_suppressed")
         self.tracer = None
         self.sink = None
         if want_trace:
@@ -297,13 +308,9 @@ class _Worker:
         # guarantee the full payload precedes any ref that cites it)
         self.ref_map: dict[tuple[int, int], int] = {}
         self.trace_batches: dict[tuple, list] = {}  # (owner, lid) -> records
-        self.dedup_hits = 0
-        self.handoffs = 0
-        self.steals = 0
+        #: tasks executed here, stealing included (run metadata: it
+        #: becomes ``ExploreStats.worker_expansions`` and paces batching)
         self.executed = 0
-        self.msg_bytes = 0
-        self.cand_msgs = 0
-        self.cand_suppressed = 0
         # graph content already streamed to the master as fragments
         self.shipped_configs = 0
         self.shipped_edges = 0
@@ -335,7 +342,7 @@ class _Worker:
         returns the configuration's local id."""
         lid = self.visited.get(config)
         if lid is not None:
-            self.dedup_hits += 1
+            self.dedup_hits.value += 1
             if src_shard is not None:
                 self.edges.append((src_shard, src_lid, actions, lid))
             self.d_out -= 1
@@ -355,10 +362,8 @@ class _Worker:
         status = _terminal_status_fast(config)
         if status is not None:
             self.terminals.append((lid, status))
-            self.stats.expansions += 1
+            self.expansions.value += 1
             self.d_expansions += 1
-            if self.wreg is not None:
-                self.wreg.inc("explore.expansions")
             self.d_out -= 1
             return lid
         if mode == _PAUSE:
@@ -384,7 +389,7 @@ class _Worker:
                     # is by construction the owner-side dedup path
                     _, dig, src_shard, src_lid, actions = entry
                     lid = self.ref_map[(sender, dig)]
-                    self.dedup_hits += 1
+                    self.dedup_hits.value += 1
                     self.edges.append((src_shard, src_lid, actions, lid))
                     self.d_out -= 1
                 else:
@@ -428,12 +433,10 @@ class _Worker:
         elif kind == "stolen":
             _, owner, tasks = msg
             self.awaiting_steal_since = None
-            self.steals += 1
-            self.shared.steals[self.wid] = self.steals
-            if self.wreg is not None:
-                # the parallel.steals *counter* is master-emitted from the
-                # summed stats; workers only record the batch-size shape
-                self.wreg.observe("parallel.steal_batch", len(tasks))
+            self.steals.value += 1
+            self.shared.steals[self.wid] = self.steals.value
+            if self.metrics is not None:
+                self.metrics.observe("parallel.steal_batch", len(tasks))
             for lid, payload in tasks:
                 self.stolen.append(
                     (owner, lid, self.store.decode_config(payload))
@@ -495,15 +498,13 @@ class _Worker:
         _maybe_chaos_exit()
         if self.tracer is not None:
             self.tracer.shard = owner  # stolen work keeps the owner tag
-        self.stats.expansions += 1
+        self.expansions.value += 1
         self.d_expansions += 1
         self.executed += 1
-        if self.wreg is not None:
-            self.wreg.inc("explore.expansions")
         marks: list[tuple] = []
         expansions = _expand_guarded(
-            self.program, config, lid, self.access, self.opts, self.stats,
-            self.wreg, self.tracer, cache=self.cache,
+            self.program, config, lid, self.access, self.opts, self.registry,
+            self.metrics, self.tracer, cache=self.cache,
         )
         if expansions is None:
             self.shared.engine_fault.value = 1
@@ -517,13 +518,12 @@ class _Worker:
                     self.d_out += 1
             else:
                 chosen = _select_guarded(
-                    self.selector, expansions, enabled, self.stats,
-                    self.wreg, self.tracer,
+                    self.selector, expansions, enabled, self.registry,
+                    self.tracer,
                 )
                 for exp in chosen:
                     succ = exp.succ
                     assert succ is not None
-                    self.stats.actions_executed += len(exp.actions)
                     # edges carry action *handles*: each ActionInfo
                     # crosses the interconnect once, ever (memoized
                     # expansions replay identical objects, so the
@@ -536,7 +536,7 @@ class _Worker:
                         self.d_out += 1
                         self._take_candidate(succ, owner, lid, acts)
                     else:
-                        self.handoffs += 1
+                        self.handoffs.value += 1
                         self.d_out += 1
                         self._route(dshard, succ, owner, lid, acts)
         self.d_out -= 1  # the task unit itself
@@ -568,8 +568,8 @@ class _Worker:
                 dshard, ()
             ):
                 buf.append((1, dig, owner, lid, actions))
-                self.cand_suppressed += 1
-                self.shared.suppressed[self.wid] = self.cand_suppressed
+                self.cand_suppressed.value += 1
+                self.shared.suppressed[self.wid] = self.cand_suppressed.value
                 self.buf_bytes[dshard] = self.buf_bytes.get(dshard, 0) + 32
                 return
             if hit is not succ and hit != succ:
@@ -591,8 +591,8 @@ class _Worker:
     def _send(self, dshard, msg) -> None:
         """Pickle once (protocol 5), account the bytes, ship the blob."""
         blob = pickle.dumps(msg, protocol=5)
-        self.msg_bytes += len(blob)
-        self.shared.msg_bytes[self.wid] = self.msg_bytes
+        self.msg_bytes.value += len(blob)
+        self.shared.msg_bytes[self.wid] = self.msg_bytes.value
         self.inboxes[dshard].put(blob)
 
     def _flush_bufs(self, only_full: bool = False) -> None:
@@ -605,7 +605,7 @@ class _Worker:
             ):
                 continue
             self._send(dshard, ("cand", self.wid, buf))
-            self.cand_msgs += 1
+            self.cand_msgs.value += 1
             self.out_buf[dshard] = []
             self.buf_bytes[dshard] = 0
             self.buf_since.pop(dshard, None)
@@ -633,8 +633,8 @@ class _Worker:
             self.terminals[self.shipped_terminals:],
         )
         blob = pickle.dumps(frag, protocol=5)
-        self.msg_bytes += len(blob)
-        self.shared.msg_bytes[self.wid] = self.msg_bytes
+        self.msg_bytes.value += len(blob)
+        self.shared.msg_bytes[self.wid] = self.msg_bytes.value
         self.results.put(blob)
         self.shipped_configs = nc
         self.shipped_edges = ne
@@ -643,6 +643,9 @@ class _Worker:
     # -- dumps ----------------------------------------------------------
 
     def _dump(self, final: bool) -> None:
+        self.registry.gauge(PEAK_RSS).set(_current_rss_bytes())
+        if final and self.metrics is not None:
+            _count_incremental(self.registry, self.cache, self.digest_base)
         payload = {
             "wid": self.wid,
             # graph content ships as a delta over the fragments already
@@ -657,37 +660,21 @@ class _Worker:
             "base_terminals": self.shipped_terminals,
             "terminals": self.terminals[self.shipped_terminals:],
             "parked": [(o, lid) for o, lid, _ in self.parked],
-            "stats": {
-                "expansions": self.stats.expansions,
-                "actions_executed": self.stats.actions_executed,
-                "selector_faults": self.stats.selector_faults,
-                "engine_faults": self.stats.engine_faults,
-                "dedup_hits": self.dedup_hits,
-                "handoffs": self.handoffs,
-                "steals": self.steals,
-                "executed": self.executed,
-                "msg_bytes": self.msg_bytes,
-                "cand_msgs": self.cand_msgs,
-                "cand_suppressed": self.cand_suppressed,
-                "peak_rss_bytes": _current_rss_bytes(),
-            },
+            "executed": self.executed,
             "stubborn": (
                 self.selector.stats if self.selector is not None else None
             ),
-            "metrics": None,
+            # cumulative: the master merges the final dump's only
+            "metrics": self.registry.snapshot(),
             "trace": None,
         }
         self.shipped_configs = len(self.configs)
         self.shipped_edges = len(self.edges)
         self.shipped_terminals = len(self.terminals)
-        if final:
-            if self.wreg is not None:
-                _emit_incremental_metrics(self.wreg, self.cache, self.digest_base)
-                payload["metrics"] = self.wreg.snapshot()
-            if self.sink is not None:
-                payload["trace"] = self.trace_batches
+        if final and self.sink is not None:
+            payload["trace"] = self.trace_batches
         # the dump blob's own size is accounted master-side on receipt
-        # (it contains this msg_bytes counter, so it cannot count itself)
+        # (it contains the msg_bytes counter, so it cannot count itself)
         self.results.put(pickle.dumps(("dump", self.wid, payload), protocol=5))
 
     # -- main loop ------------------------------------------------------
@@ -1150,23 +1137,17 @@ def _merge_graph(parts, snap_edges, snap_terminals, init_cfg, metrics):
     return graph, edge_items, term_items, frag
 
 
-#: worker counters summed into the merged stats (dump key = field name)
-_SUMMED_STATS = (
-    "expansions", "actions_executed", "selector_faults", "engine_faults",
-    "handoffs", "steals", "msg_bytes", "cand_msgs", "cand_suppressed",
-)
-
-
-def _merge_dumps(pool, acc, dumps, snap, init, stats, metrics, *, tail=True):
+def _merge_dumps(
+    pool, acc, dumps, snap, init, stats, run, metrics, *, tail=True
+):
     """Fold the gathered *dumps* (and any fragments that raced the dump
-    request) into *acc*, then merge: the canonical graph, the worker
-    counters summed into *stats*, the terminal counts, and the workers'
-    selector statistics.  *tail* charges the dump folds to
-    ``acc.tail_s`` (the final merge) rather than to the overlap (a
-    checkpoint, taken mid-run).
+    request) into *acc*, then merge: the canonical graph, the workers'
+    registries (and the dump bytes their senders cannot count) into
+    *run*, shard sizes and task counts into *stats*, and the selector
+    statistics.  *tail* charges the dump folds to ``acc.tail_s`` (the
+    final merge) rather than to the overlap (a checkpoint, mid-run).
 
-    Returns ``(graph, edge_items, term_items, frag, dedup, stubborn)``,
-    ``dedup`` being the workers' total dedup hits.
+    Returns ``(graph, edge_items, term_items, frag, stubborn)``.
     """
     acc.flush_pending()
     for d in dumps:
@@ -1178,34 +1159,41 @@ def _merge_dumps(pool, acc, dumps, snap, init, stats, metrics, *, tail=True):
         init,
         metrics,
     )
-    if snap is not None:
-        # cumulative counters continue from the resumed snapshot's; the
-        # absolute ones (terminal counts, sizes) come from the graph
-        base = snap["stats"]
-        for name in (*_SUMMED_STATS, "peak_rss_bytes", "degraded_observers"):
-            setattr(stats, name, getattr(base, name))
-    dedup = 0
     for d in dumps:
-        ws = d["stats"]
-        for name in _SUMMED_STATS:
-            setattr(stats, name, getattr(stats, name) + ws[name])
-        dedup += ws["dedup_hits"]
-        stats.peak_rss_bytes = max(stats.peak_rss_bytes, ws["peak_rss_bytes"])
-    stats.msg_bytes += pool.rx_dump_bytes
+        run.merge(d["metrics"])
+    run.inc("parallel.msg_bytes", pool.rx_dump_bytes)
     # shard sizes come from the accumulated parts: dumps carry deltas
     stats.shard_sizes = tuple(len(p["configs"]) for p in acc.parts)
-    stats.worker_expansions = tuple(d["stats"]["executed"] for d in dumps)
-    for _, status, _n in term_items:
-        if status == TERMINATED:
-            stats.num_terminated += 1
-        elif status == DEADLOCK:
-            stats.num_deadlocks += 1
-        else:
-            stats.num_faults += 1
+    stats.worker_expansions = tuple(d["executed"] for d in dumps)
     stubborn = _merge_stubborn(
         [snap["stubborn"] if snap else None] + [d["stubborn"] for d in dumps]
     )
-    return graph, edge_items, term_items, frag, dedup, stubborn
+    return graph, edge_items, term_items, frag, stubborn
+
+
+def _announce(guard, graph, edge_items, term_items, snap, tracer=None,
+              batches=None, owner_of=None) -> None:
+    """Notify the merged graph's new content through *guard* (which
+    counts it): every configuration not inherited from the resumed
+    snapshot *snap*, then the new edges and terminal marks, each in
+    canonical order.  With a *tracer*, each configuration's worker trace
+    batch is re-emitted right after its announcement."""
+    preloaded = (
+        {graph.config_id(c) for c in snap["configs"]} if snap else set()
+    )
+    for cid in range(graph.num_configs):
+        if cid not in preloaded:
+            guard.on_config(graph, cid, graph.configs[cid], True, None)
+        if tracer is not None:
+            batch = batches.get(owner_of.get(cid))
+            if batch:
+                _emit_trace_batch(tracer, batch)
+    for src, actions, dst, is_new in edge_items:
+        if is_new:
+            guard.on_edge(graph, src, dst, actions)
+    for cid, status, is_new in term_items:
+        if is_new:
+            guard.on_config(graph, cid, graph.configs[cid], False, status)
 
 
 def _emit_trace_batch(tracer, records) -> None:
@@ -1278,11 +1266,18 @@ def _bfs_attempt(
         outstanding0 = 1
 
     stats = ExploreStats(
-        backend="parallel", jobs=nshards, worker_restarts=restarts
+        backend="parallel", jobs=nshards, worker_restarts=restarts,
+        resumed=snap is not None,
     )
     if snap is not None:
-        stats.resumed = True
-    guard = _ObserverGuard(observers, stats, metrics, tracer)
+        # cumulative counters continue from the resumed snapshot's
+        for name in (*STATS_SERIES, "peak_rss_bytes"):
+            setattr(stats, name, getattr(snap["stats"], name))
+    # the master counts graph events and merges the workers' counts in
+    run = MetricsRegistry()
+    deep = run if metrics is not None else None
+    peak = run.gauge(PEAK_RSS)
+    guard = _ObserverGuard(observers, run, tracer)
 
     spawn_span = (
         tracer.begin_span("parallel.spawn", jobs=nshards)
@@ -1343,14 +1338,14 @@ def _bfs_attempt(
                     _truncate(stats, "configs", tracer)
                 elif opts.max_rss_bytes is not None:
                     rss = _current_rss_bytes()
-                    if rss > stats.peak_rss_bytes:
-                        stats.peak_rss_bytes = rss
+                    if rss > peak.value:
+                        peak.value = rss
                     if rss > opts.max_rss_bytes:
                         _truncate(stats, "memory", tracer)
                 if stats.truncated:
                     shared.mode.value = _DRAIN
-            if metrics is not None:
-                metrics.observe(
+            if deep is not None:
+                deep.observe(
                     "parallel.queue_depth",
                     sum(shared.qdepth[s] for s in range(nshards)),
                 )
@@ -1432,58 +1427,40 @@ def _bfs_attempt(
         merge_span = (
             tracer.begin_span("parallel.merge") if tracer is not None else None
         )
-        graph, edge_items, term_items, frag, dedup, merged_stubborn = (
-            _merge_dumps(pool, acc, dumps, snap, init, stats, metrics)
+        graph, edge_items, term_items, frag, merged_stubborn = _merge_dumps(
+            pool, acc, dumps, snap, init, stats, run, deep
         )
         stats.merge_overlap_s = acc.overlap_s
         stats.merge_tail_s = acc.tail_s
-        preloaded = (
-            {graph.config_id(c) for c in snap["configs"]} if snap else set()
-        )
-        owner_of = {graph.config_id(c): key for key, c in frag.items()}
         trace_batches: dict[tuple, list] = {}
         for d in dumps:
             if d["trace"]:
                 trace_batches.update(d["trace"])
-        for cid in range(graph.num_configs):
-            if cid not in preloaded:
-                guard.on_config(graph, cid, graph.configs[cid], True, None)
-            if tracer is not None:
-                batch = trace_batches.get(owner_of.get(cid))
-                if batch:
-                    _emit_trace_batch(tracer, batch)
-        for src, actions, dst, is_new in edge_items:
-            if is_new:
-                guard.on_edge(graph, src, dst, actions)
-        for cid, status, is_new in term_items:
-            if is_new:
-                guard.on_config(graph, cid, graph.configs[cid], False, status)
+        _announce(
+            guard, graph, edge_items, term_items, snap, tracer,
+            trace_batches, {graph.config_id(c): key for key, c in frag.items()},
+        )
         if metrics is not None:
-            for d in dumps:
-                if d["metrics"]:
-                    metrics.merge(d["metrics"])
-            if dedup:
-                metrics.inc("explore.intern.hits", dedup)
             balance = stats.shard_balance
             if balance is not None:
                 metrics.set_gauge("parallel.shard_balance", balance)
-            metrics.inc("parallel.handoffs", stats.handoffs)
-            metrics.inc("parallel.steals", stats.steals)
-            metrics.inc("parallel.msg_bytes", stats.msg_bytes)
-            metrics.inc("parallel.cand_msgs", stats.cand_msgs)
-            metrics.inc("parallel.cand_suppressed", stats.cand_suppressed)
-            metrics.timer("parallel.merge_overlap_s").add(acc.overlap_s)
-            metrics.timer("parallel.merge_tail_s").add(acc.tail_s)
+            run.timer("parallel.merge_overlap_s").add(acc.overlap_s)
+            run.timer("parallel.merge_tail_s").add(acc.tail_s)
         if merge_span is not None:
             tracer.end_span(
                 merge_span, configs=graph.num_configs, edges=graph.num_edges
             )
         result = _finalize(
-            program, graph, stats, opts, access, None, guard, metrics, t0,
-            checkpointer, tracer, digest_base=digest_base, progress=emitter,
+            program, graph, stats, run, opts, access, None, guard, metrics,
+            t0, checkpointer, tracer, digest_base=digest_base,
+            progress=emitter,
         )
-        stats.stubborn = merged_stubborn
+        result.stats.stubborn = merged_stubborn
         return result
+    except BaseException:
+        # a failed attempt still reports the work its master did
+        _publish(run, metrics)
+        raise
     finally:
         pool.shutdown()
 
@@ -1513,12 +1490,14 @@ def _quiescent_checkpoint(
         final=False, timeout_s=_JOIN_TIMEOUT_S, on_msg=acc.on_msg,
         after_request=acc.flush_pending,
     )
-    cp_stats = ExploreStats(backend="parallel", jobs=opts.jobs)
-    graph, _, _, frag, _, stubborn = _merge_dumps(
-        pool, acc, dumps, snap, init, cp_stats, None, tail=False
+    # the snapshot's stats count what the run would report if it ended
+    # here: the workers' counts so far, and the graph events the final
+    # merge will announce, counted by an observer-less guard
+    cp_run = MetricsRegistry()
+    graph, edge_items, term_items, frag, stubborn = _merge_dumps(
+        pool, acc, dumps, snap, init, stats, cp_run, None, tail=False
     )
-    cp_stats.resumed = stats.resumed
-    cp_stats.worker_restarts = stats.worker_restarts
+    _announce(_ObserverGuard((), cp_run), graph, edge_items, term_items, snap)
     # d["parked"] entries are (owner, lid): resolve against the owner
     queued = sorted(
         graph.config_id(frag[(owner, lid)])
@@ -1530,7 +1509,7 @@ def _quiescent_checkpoint(
         "fingerprint": fingerprint,
         "options_key": opts.resume_key(),
         "graph": graph,
-        "stats": cp_stats,
+        "stats": _stats_view(stats, cp_run),
         "stubborn": stubborn,
         "queue": queued,
         "processed": set(range(graph.num_configs)) - set(queued),

@@ -10,10 +10,11 @@ Usage::
     result = explore(program, "stubborn", coarsen=True, observers=(mo,))
     print(mo.snapshot()["explore.frontier_depth"])
 
-Without an attached :class:`MetricsObserver` the engine allocates no
-registry and skips every telemetry update (a single ``is not None``
-test per site) — the default path stays as fast as before telemetry
-existed.
+Every run counts its events into a registry of its own, and
+``ExploreStats`` is a view of it; an attached :class:`MetricsObserver`
+receives that registry merged in at the end of the run.  Without one
+the engine skips its deep instrumentation (histograms, timers, intern,
+memo and digest series — a single ``is not None`` test per site).
 """
 
 from repro.metrics.observer import MetricsObserver, attached_registry

@@ -1,14 +1,15 @@
 """Exploration telemetry as an :class:`~repro.explore.observers.Observer`.
 
-Attaching a :class:`MetricsObserver` to :func:`repro.explore.explore`
-does two things:
+Every exploration run counts into a registry of its own (each parallel
+worker too, merged by the master), and ``ExploreStats`` is a view of it.
+Attaching a :class:`MetricsObserver` to :func:`repro.explore.explore`:
 
-1. the observer itself counts graph-level events (configs, edges,
-   actions, terminal statuses) from the standard callbacks;
-2. the engine notices the attached registry and turns on its *deep*
-   instrumentation — frontier depth, intern hit-rate, stubborn closure
-   sizes, coarsened block lengths, wall-clock — none of which runs when
-   no registry is attached.
+1. at the end of the run the engine merges the run's registry into the
+   attached one — so even an evicted observer gets complete counts —
+   and sets the derived gauges (rates, peak RSS, ``graph.*``) there;
+2. turns on the engine's *deep* instrumentation — frontier depth,
+   intern hit-rate, stubborn closure sizes, coarsened block lengths,
+   wall-clock — none of which runs when no registry is attached.
 
 Metric names emitted by the engine (the stable telemetry schema,
 version :data:`repro.metrics.SCHEMA_VERSION`):
@@ -57,38 +58,15 @@ name                                    type       meaning
 
 from __future__ import annotations
 
-from repro.explore.graph import ConfigGraph
 from repro.explore.observers import Observer
 from repro.metrics.registry import MetricsRegistry
 
 
 class MetricsObserver(Observer):
-    """Collects exploration telemetry into a :class:`MetricsRegistry`."""
+    """The :class:`MetricsRegistry` a run publishes its telemetry into."""
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-
-    # ------------------------------------------------------------------
-    # Observer callbacks
-    # ------------------------------------------------------------------
-
-    def on_config(self, graph, cid, config, fresh, status) -> None:
-        if fresh:
-            self.registry.inc("explore.configs")
-        if status is not None:
-            self.registry.inc(f"explore.terminal.{status}")
-
-    def on_edge(self, graph, src, dst, actions) -> None:
-        self.registry.inc("explore.edges")
-        self.registry.inc("explore.actions", len(actions))
-
-    def on_done(self, graph: ConfigGraph) -> None:
-        self.registry.set_gauge("graph.configs", graph.num_configs)
-        self.registry.set_gauge("graph.edges", graph.num_edges)
-
-    # ------------------------------------------------------------------
-    # export
-    # ------------------------------------------------------------------
 
     def snapshot(self) -> dict:
         return self.registry.snapshot()

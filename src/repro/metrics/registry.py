@@ -5,9 +5,10 @@ precision/cost tradeoffs with numbers instead of prose — the same
 per-phase statistics style Miné's parallel-C analyzer and the BMC
 partial-order literature report.  Design constraints:
 
-- **zero cost when absent** — the engine threads an optional registry
-  through its hot paths and guards every update with ``is not None``;
-  the default :func:`repro.explore.explore` call never allocates one;
+- **one accounting source** — every exploration run counts into a
+  registry of its own (hot counters bound once, bumped like ints), and
+  ``ExploreStats`` is a view of it; the deep instrumentation runs only
+  with a :class:`~repro.metrics.MetricsObserver` attached;
 - **no wall-clock in values** — histograms bucket by powers of two and
   snapshots are plain JSON-able dicts, so telemetry is deterministic
   except for the explicitly-named ``*_s`` timer series;
@@ -304,6 +305,11 @@ class MetricsRegistry:
             return inst.mean
         assert isinstance(inst, Timer)
         return inst.total_s
+
+    def get(self, name: str, default=0):
+        """:meth:`value` of *name*, or *default* when it was never
+        created (an event that never happened)."""
+        return self.value(name) if name in self._instruments else default
 
     def snapshot(self) -> dict:
         """JSON-able dump of every instrument, sorted by name."""

@@ -22,7 +22,9 @@ The escalation trail is recorded three ways: in the returned
 result, and in the metrics registry (counter
 ``resilience.escalations``, gauge ``resilience.final_rung``) when a
 :class:`~repro.metrics.MetricsObserver` is attached — results always
-say *which* rung produced them and why.
+say *which* rung produced them and why.  The rungs share that observer,
+so its registry accumulates every rung's counts, while each rung's
+``ExploreStats`` covers that rung only.
 
 ``explore_resilient`` never raises: even an engine bug mid-rung (see
 :mod:`repro.resilience.chaos`) is recorded as an escalation reason and

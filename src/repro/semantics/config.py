@@ -337,6 +337,8 @@ def collect_garbage(config: Config) -> Config:
     only in dead objects become equal).  Analyses that must observe the
     full allocation history run with GC off.
     """
+    if not config.heap:
+        return config
     reachable: set[ObjId] = set()
     work: list[Value] = list(config.globals)
     for p in config.procs:

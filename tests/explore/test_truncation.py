@@ -8,10 +8,14 @@ observers with ``on_done`` — long sweeps degrade instead of hanging.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.explore import ExploreOptions, Observer, explore
 from repro.lang import parse_program
+from repro.programs.corpus import CORPUS
+from repro.resilience.checkpoint import Checkpointer, read_snapshot
 
 INFINITE_SRC = "var g = 0; func main() { while (true) { g = g + 1; } }"
 
@@ -125,3 +129,41 @@ def test_generous_time_limit_sleep_does_not_truncate(fig2):
     opts = ExploreOptions(policy="full", sleep=True, time_limit_s=60.0)
     r = explore(fig2, options=opts)
     assert not r.stats.truncated
+
+
+# ----------------------------------------------------------------------
+# a resumed snapshot already over max_configs
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("sleep", [False, True], ids=["fifo", "sleep-stack"])
+def test_resumed_snapshot_over_budget_runs_to_its_next_fresh_config(
+    tmp_path, sleep
+):
+    """The budget is checked once per fresh configuration, so a snapshot
+    that already holds more than ``max_configs`` keeps expanding and
+    truncates right after inserting its next fresh configuration —
+    exactly where an uninterrupted run whose budget is the snapshot's
+    size stops."""
+    program = CORPUS["philosophers_3"]()
+    opts = ExploreOptions(policy="full", sleep=sleep)
+    path = str(tmp_path / "snap.ckpt")
+    explore(
+        program, options=opts,
+        checkpointer=Checkpointer(path, every=7, stop_after=1),
+    )
+    snap = read_snapshot(path)
+    size = snap["graph"].num_configs
+    resumed = explore(
+        program, options=dataclasses.replace(opts, max_configs=1),
+        resume_from=path,
+    )
+    straight = explore(
+        program, options=dataclasses.replace(opts, max_configs=size)
+    )
+    assert resumed.stats.truncation_reason == "configs"
+    assert resumed.graph.num_configs == size + 1
+    assert resumed.stats.expansions > snap["stats"].expansions
+    assert resumed.graph.configs == straight.graph.configs
+    assert resumed.graph.edges == straight.graph.edges
+    assert resumed.stats.expansions == straight.stats.expansions

@@ -77,6 +77,12 @@ def test_gc_keeps_locals_roots():
     assert collect_garbage(cfg).heap == (obj,)
 
 
+def test_gc_returns_a_heapless_config_itself():
+    cfg = _mk(globals_=(Pointer(("s", 0), 0),))
+    assert cfg.heap == ()
+    assert collect_garbage(cfg) is cfg
+
+
 def test_result_store_excludes_process_state():
     # two configs with different pcs but same store have the same result
     p0 = Process(pid=(0,), frames=(Frame(func="main", pc=0, locals=()),))
