@@ -42,6 +42,7 @@ from repro.lang.instructions import (
     IBranch,
     ICall,
     ICobegin,
+    IJump,
     IRelease,
     IReturn,
     ISkip,
@@ -61,7 +62,6 @@ from repro.lang.instructions import (
 )
 from repro.lang.program import Program
 from repro.semantics.config import DONE, JOINING, RUNNING, Pid
-from repro.semantics.step import resolve_pc
 from repro.util.errors import AnalysisError
 
 
@@ -274,7 +274,7 @@ def _advance(program: Program, member: Member, pc: int, locals_=None) -> Member:
     top = member.frames[-1]
     new_top = AbsFrame(
         func=top.func,
-        pc=resolve_pc(program, top.func, pc),
+        pc=program.funcs[top.func].landing[pc],
         locals=top.locals if locals_ is None else locals_,
         ret_loc=top.ret_loc,
     )
@@ -303,7 +303,7 @@ def member_successors(
                 + (
                     AbsFrame(
                         func=top.func,
-                        pc=resolve_pc(program, top.func, instr.join_target),
+                        pc=program.funcs[top.func].landing[instr.join_target],
                         locals=top.locals,
                         ret_loc=top.ret_loc,
                     ),
@@ -512,7 +512,7 @@ def member_successors(
                 continue
             caller_top = AbsFrame(
                 func=top.func,
-                pc=resolve_pc(program, top.func, top.pc + 1),
+                pc=program.funcs[top.func].landing[top.pc + 1],
                 locals=locals_,
                 ret_loc=top.ret_loc,
             )
@@ -521,7 +521,7 @@ def member_successors(
             )
             callee_frame = AbsFrame(
                 func=fname,
-                pc=resolve_pc(program, fname, 0),
+                pc=fc.landing[0],
                 locals=callee_locals,
                 ret_loc=ret_loc,
             )
@@ -596,8 +596,9 @@ def member_successors(
 
 
 def _branch_signature(program: Program, func: str, start: int, end: int) -> tuple:
-    """Structural signature of a branch region — labels dropped, targets
-    made region-relative — for clan grouping of identical branches."""
+    """Structural signature of a branch region — labels dropped, branch
+    and jump targets made region-relative — for clan grouping of
+    identical branches."""
     import dataclasses
 
     out = []
@@ -608,6 +609,8 @@ def _branch_signature(program: Program, func: str, start: int, end: int) -> tupl
             ins = dataclasses.replace(
                 ins, then_target=ins.then_target - start, else_target=ins.else_target - start
             )
+        if isinstance(ins, IJump):
+            ins = dataclasses.replace(ins, target=ins.target - start)
         if isinstance(ins, ICobegin):
             return ("has-nested-cobegin", pc)  # never grouped
         if isinstance(ins, IAlloc):
@@ -653,7 +656,7 @@ def _spawn(
             frames=(
                 AbsFrame(
                     func=top.func,
-                    pc=resolve_pc(program, top.func, instr.branch_targets[first]),
+                    pc=fc.landing[instr.branch_targets[first]],
                     locals=(dom.const(0),) * fc.num_locals,
                     ret_loc=None,
                 ),

@@ -108,26 +108,13 @@ def replay(program, witness: Witness, *, opts=None):
     """Re-execute a witness concretely, step by step.
 
     Returns the final :class:`~repro.semantics.config.Config`; raises
-    ``AssertionError`` if a scheduled process is not enabled or executes
-    a different statement than recorded — the cross-check that the
-    explored graph's paths are genuine executions.
+    :class:`~repro.util.errors.ScheduleError` if a scheduled process is
+    not enabled or executes a different statement than recorded — the
+    cross-check that the explored graph's paths are genuine executions.
     """
-    from repro.semantics.config import initial_config
-    from repro.semantics.step import StepOptions, enabledness, execute
+    from repro.schedules.replay import replay_steps
 
-    options = opts if opts is not None else StepOptions()
-    config = initial_config(
-        program, track_procstrings=options.track_procstrings
-    )
-    for pid, label in witness.steps:
-        proc = config.proc(pid)
-        enabled, _, _ = enabledness(program, config, proc)
-        assert enabled, f"witness step {label} of {pid} is not enabled"
-        config, action = execute(program, config, proc, options)
-        assert action.label == label, (
-            f"witness expected {label}, executed {action.label}"
-        )
-    return config
+    return replay_steps(program, witness.steps, opts=opts)
 
 
 def _best(graph: ConfigGraph, targets: list[int]) -> Witness | None:

@@ -16,7 +16,7 @@ from repro.explore.explorer import (
     ExploreStats,
     explore,
 )
-from repro.explore.memo import ExpandCache, expand_memoized
+from repro.explore.memo import ExpandCache, expand
 from repro.explore.parallel import explore_parallel
 from repro.explore.graph import DEADLOCK, FAULT, TERMINATED, ConfigGraph, Edge
 from repro.explore.observers import (
@@ -43,7 +43,7 @@ __all__ = [
     "TransitionLogObserver",
     "action_is_critical",
     "build_block",
-    "expand_memoized",
+    "expand",
     "explore",
     "explore_parallel",
 ]

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from repro.analyses.accesses import AccessAnalysis, matches
 from repro.explore.expansion import Expansion
 from repro.explore.stubborn import StubbornSelector, StubbornStats
-from repro.lang.instructions import IThreadEnd
+from repro.lang.instructions import ICobegin, IThreadEnd
 from repro.lang.program import Program
 from repro.semantics.config import JOINING, Pid, Process
 
@@ -104,13 +104,12 @@ class AlgorithmOneSelector:
             # the parent never executes the branch bodies — its children
             # carry them as their own elements; counting them here would
             # fabricate control chains through the parent's join
-            from repro.lang.instructions import ICobegin
-            from repro.semantics.step import resolve_pc
-
-            instr = self.program.funcs[top.func].instrs[top.pc]
+            code = self.program.funcs[top.func]
+            instr = code.instrs[top.pc]
             assert isinstance(instr, ICobegin)
-            join_pc = resolve_pc(self.program, top.func, instr.join_target)
-            out |= self.access.reachable_from(top.func, join_pc)
+            out |= self.access.reachable_from(
+                top.func, code.landing[instr.join_target]
+            )
         else:
             out |= self.access.reachable_from(top.func, top.pc)
         return frozenset(out)

@@ -14,6 +14,9 @@ blocks (virtual coarsening, Observation 5).
 
 Exploration is fully deterministic: breadth-first, or depth-first
 with ``sleep=True`` (sleep sets, :mod:`repro.explore.sleepsets`).
+Every configuration is expanded by one loop,
+:func:`repro.explore.memo.expand`, with the footprint memo on (the
+default) or off (``memo=False``).
 
 Resilience
 ----------
@@ -55,10 +58,9 @@ except ImportError:  # non-Unix platforms: RSS telemetry reads 0
 
 from repro.analyses.accesses import AccessAnalysis, access_analysis
 from repro.explore.algorithm1 import AlgorithmOneSelector
-from repro.explore.coarsen import build_block
 from repro.explore.expansion import Expansion
 from repro.explore.graph import DEADLOCK, FAULT, TERMINATED, ConfigGraph
-from repro.explore.memo import ExpandCache, expand_memoized
+from repro.explore.memo import ExpandCache, expand
 from repro.explore.observers import Observer, attached
 from repro.explore.sleepsets import entry_of, independent, transition_key
 from repro.explore.stubborn import StubbornSelector, StubbornStats
@@ -71,7 +73,7 @@ from repro.resilience.checkpoint import (
     read_snapshot,
 )
 from repro.semantics.config import Config, digest_stats, initial_config
-from repro.semantics.step import StepOptions, next_infos
+from repro.semantics.step import StepOptions
 
 LOG = logging.getLogger("repro.explore")
 
@@ -773,7 +775,7 @@ def _expand_guarded(
     latter on every backend) and the parallel BFS workers."""
     try:
         chaos.kick("eval")
-        return _expand(program, config, access, opts, metrics, tracer, cache)
+        return expand(program, config, access, opts, cache, metrics, tracer)
     except Exception as exc:
         faults = run.counter("explore.engine_faults")
         faults.value += 1
@@ -944,70 +946,3 @@ def _count_incremental(registry, cache, digest_base) -> None:
         delta = now[stat] - digest_base[stat]
         if delta:
             registry.inc(name, delta)
-
-
-def _expand(
-    program: Program,
-    config: Config,
-    access: AccessAnalysis,
-    opts: ExploreOptions,
-    metrics=None,
-    tracer=None,
-    cache: ExpandCache | None = None,
-) -> list[Expansion]:
-    """Per-process expansions at *config* (coarsened or single-step).
-
-    With *cache* attached, the footprint-memoized path
-    (:func:`repro.explore.memo.expand_memoized`) produces the identical
-    expansion list while skipping re-interpretation on cache hits."""
-    if cache is not None:
-        return expand_memoized(
-            program, config, access, opts, cache, metrics, tracer
-        )
-    infos = next_infos(program, config, opts.step)
-    out: list[Expansion] = []
-    for ni in infos:
-        if not ni.enabled:
-            out.append(
-                Expansion(
-                    proc=ni.proc,
-                    enabled=False,
-                    nes=ni.nes,
-                    blocked_children=ni.blocked_children,
-                )
-            )
-            continue
-        if opts.coarsen:
-            block = build_block(
-                program,
-                config,
-                ni.proc.pid,
-                access,
-                opts.step,
-                max_len=opts.max_block_len,
-                metrics=metrics,
-                tracer=tracer,
-            )
-            out.append(
-                Expansion(
-                    proc=ni.proc,
-                    enabled=True,
-                    succ=block.succ,
-                    actions=block.actions,
-                    reads=block.reads,
-                    writes=block.writes,
-                )
-            )
-        else:
-            assert ni.action is not None
-            out.append(
-                Expansion(
-                    proc=ni.proc,
-                    enabled=True,
-                    succ=ni.succ,
-                    actions=(ni.action,),
-                    reads=ni.action.reads,
-                    writes=ni.action.writes,
-                )
-            )
-    return out

@@ -1,4 +1,10 @@
-"""Footprint-memoized expansion: the incremental engine's hot-path cache.
+"""Per-process expansion, optionally through a footprint memo: the hot path.
+
+:func:`expand` is the one loop that turns a configuration into its
+per-process :class:`~repro.explore.expansion.Expansion` list, for every
+driver and backend.  It runs with an :class:`ExpandCache` (the default,
+``ExploreOptions(memo=True)``) or without one; without one it skips the
+probe and fill steps and records no footprint.
 
 Every expansion of a configuration pays ``enabledness`` + ``execute``
 (or a whole coarsened block) for *every* live process, even though the
@@ -410,19 +416,24 @@ class ExpandCache:
         }
 
 
-def expand_memoized(
+def expand(
     program,
     config: Config,
     access,
     opts,
-    cache: ExpandCache,
+    cache: ExpandCache | None = None,
     metrics=None,
     tracer=None,
 ) -> list[Expansion]:
-    """Per-process expansions at *config* through *cache* — the memoized
-    twin of :func:`repro.explore.explorer._expand`, producing identical
-    :class:`Expansion` lists (the cache-on/off differential suite's
-    contract).
+    """Per-process expansions at *config*, coarsened or single-step —
+    the one expansion loop of every driver.
+
+    With *cache*, each process is probed first: a hit replays the cached
+    outcome, a miss computes it while recording its footprint and fills
+    the cache.  Without one, probe and fill are skipped and no footprint
+    is recorded, so the interpreter does only the uncached work.  Both
+    produce identical :class:`Expansion` lists (the cache-on/off
+    differential suite's contract).
 
     Telemetry stays *logical*: a coarsened cache hit re-emits the
     ``coarsen.block_len`` observation and the ``coarsen.fuse`` span its
@@ -435,19 +446,21 @@ def expand_memoized(
     coarsen = opts.coarsen
     out: list[Expansion] = []
     for proc in config.live_procs():
-        entry = cache.probe(config, proc)
-        if entry is not None:
-            if entry.enabled and coarsen:
-                if metrics is not None:
-                    metrics.observe("coarsen.block_len", entry.block_len)
-                if tracer is not None:
-                    span = tracer.begin_span("coarsen.fuse", pid=proc.pid)
-                    tracer.end_span(
-                        span, len=entry.block_len, critical=entry.block_crit
-                    )
-            out.append(cache.replay(entry, proc, config))
-            continue
-        footprint: list = []
+        footprint = None
+        if cache is not None:
+            entry = cache.probe(config, proc)
+            if entry is not None:
+                if entry.enabled and coarsen:
+                    if metrics is not None:
+                        metrics.observe("coarsen.block_len", entry.block_len)
+                    if tracer is not None:
+                        span = tracer.begin_span("coarsen.fuse", pid=proc.pid)
+                        tracer.end_span(
+                            span, len=entry.block_len, critical=entry.block_crit
+                        )
+                out.append(cache.replay(entry, proc, config))
+                continue
+            footprint = []
         enabled, nes, blocked = enabledness(
             program, config, proc, footprint=footprint
         )
@@ -455,7 +468,8 @@ def expand_memoized(
             exp = Expansion(
                 proc=proc, enabled=False, nes=nes, blocked_children=blocked
             )
-            cache.fill_disabled(proc, footprint, exp)
+            if cache is not None:
+                cache.fill_disabled(proc, footprint, exp)
             out.append(exp)
             continue
         if coarsen:
@@ -478,17 +492,13 @@ def expand_memoized(
                 reads=block.reads,
                 writes=block.writes,
             )
-            cache.fill(
-                config, proc, footprint, exp, step_opts.gc,
-                block_len=len(block.actions), block_crit=block.crit,
-            )
+            if cache is not None:
+                cache.fill(
+                    config, proc, footprint, exp, step_opts.gc,
+                    block_len=len(block.actions), block_crit=block.crit,
+                )
         else:
             succ, action = execute(program, config, proc, step_opts)
-            touched = {loc for loc, _ in footprint}
-            for loc in action.reads:
-                if loc not in touched:
-                    touched.add(loc)
-                    footprint.append((loc, loc_value(config, loc)))
             exp = Expansion(
                 proc=proc,
                 enabled=True,
@@ -497,6 +507,12 @@ def expand_memoized(
                 reads=action.reads,
                 writes=action.writes,
             )
-            cache.fill(config, proc, footprint, exp, step_opts.gc)
+            if cache is not None:
+                touched = {loc for loc, _ in footprint}
+                for loc in action.reads:
+                    if loc not in touched:
+                        touched.add(loc)
+                        footprint.append((loc, loc_value(config, loc)))
+                cache.fill(config, proc, footprint, exp, step_opts.gc)
         out.append(exp)
     return out

@@ -240,17 +240,34 @@ class ISkip(Instr):
 
 @dataclass(frozen=True)
 class FuncCode:
-    """A compiled function: instruction array plus frame layout."""
+    """A compiled function: instruction array plus frame layout.
+
+    ``landing[pc]`` is the first non-:class:`IJump` pc that control
+    reaches from ``pc``: jump chains are resolved once, here, and every
+    step (concrete or abstract) lands a new pc through this table.  The
+    ``IJump`` instructions stay in ``instrs``, so pcs, the disassembly
+    and the static CFG are unchanged; the table is derived, and takes no
+    part in ``repr`` or equality."""
 
     name: str
     num_params: int
     num_locals: int  # includes params (slots 0..num_params-1)
     local_names: tuple[str, ...]
     instrs: tuple[Instr, ...]
+    landing: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         assert self.num_params <= self.num_locals
         assert len(self.local_names) == self.num_locals
+        # the compiler emits no jump cycles: every IJump ends an if/else
+        # arm (forward) or a loop body (back to its IBranch test)
+        instrs = self.instrs
+        landing = []
+        for pc in range(len(instrs)):
+            while isinstance(instrs[pc], IJump):
+                pc = instrs[pc].target
+            landing.append(pc)
+        object.__setattr__(self, "landing", tuple(landing))
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,13 @@ from repro.semantics.config import Config, stable_digest
 from repro.util.errors import ScheduleError
 
 
-def replay_schedule(program, schedule: Schedule, *, opts=None) -> Config:
-    """Drive the interpreter with *schedule*'s steps; return the final
-    configuration.  :class:`ScheduleError` if a scheduled process is
-    not enabled or executes a different statement than recorded."""
+def replay_steps(program, steps, *, opts=None) -> Config:
+    """Drive the interpreter from the initial configuration with *steps*,
+    ``(pid, label)`` pairs in execution order; return the final
+    configuration.  :class:`ScheduleError` if a scheduled process is not
+    live, not enabled, or executes a different statement than recorded.
+    Schedules and witnesses (:mod:`repro.analyses.witness`) both replay
+    through here."""
     from repro.semantics.config import initial_config
     from repro.semantics.step import StepOptions, enabledness, execute
 
@@ -35,28 +38,37 @@ def replay_schedule(program, schedule: Schedule, *, opts=None) -> Config:
     config = initial_config(
         program, track_procstrings=options.track_procstrings
     )
-    for step in schedule.steps:
-        for label in step.labels:
-            try:
-                proc = config.proc(step.pid)
-            except (KeyError, IndexError, StopIteration):
-                raise ScheduleError(
-                    f"replay divergence: no live process {step.pid} "
-                    f"for step {label!r}"
-                )
-            enabled, _, _ = enabledness(program, config, proc)
-            if not enabled:
-                raise ScheduleError(
-                    f"replay divergence: process {step.pid} not enabled "
-                    f"at scheduled step {label!r}"
-                )
-            config, action = execute(program, config, proc, options)
-            if action.label != label:
-                raise ScheduleError(
-                    f"replay divergence: scheduled {label!r}, "
-                    f"executed {action.label!r}"
-                )
+    for pid, label in steps:
+        try:
+            proc = config.proc(pid)
+        except (KeyError, IndexError, StopIteration):
+            raise ScheduleError(
+                f"replay divergence: no live process {pid} "
+                f"for step {label!r}"
+            )
+        enabled, _, _ = enabledness(program, config, proc)
+        if not enabled:
+            raise ScheduleError(
+                f"replay divergence: process {pid} not enabled "
+                f"at scheduled step {label!r}"
+            )
+        config, action = execute(program, config, proc, options)
+        if action.label != label:
+            raise ScheduleError(
+                f"replay divergence: scheduled {label!r}, "
+                f"executed {action.label!r}"
+            )
     return config
+
+
+def replay_schedule(program, schedule: Schedule, *, opts=None) -> Config:
+    """Drive the interpreter with *schedule*'s steps; return the final
+    configuration (see :func:`replay_steps`)."""
+    return replay_steps(
+        program,
+        ((step.pid, label) for step in schedule.steps for label in step.labels),
+        opts=opts,
+    )
 
 
 def verify_schedule(program, schedule: Schedule, *, opts=None) -> Config:

@@ -34,7 +34,6 @@ from repro.semantics.step import (
     enabledness,
     execute,
     next_infos,
-    resolve_pc,
 )
 from repro.semantics.values import GLOBALS_OBJ, FuncRef, ObjId, Pointer, Value
 
@@ -64,6 +63,5 @@ __all__ = [
     "initial_config",
     "next_infos",
     "proc_loc",
-    "resolve_pc",
     "run_program",
 ]

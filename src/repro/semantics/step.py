@@ -29,7 +29,6 @@ from repro.lang.instructions import (
     IBranch,
     ICall,
     ICobegin,
-    IJump,
     IRelease,
     IReturn,
     ISkip,
@@ -111,18 +110,6 @@ class NextInfo:
 # --------------------------------------------------------------------------
 # control-flow helpers
 # --------------------------------------------------------------------------
-
-
-def resolve_pc(program: Program, func: str, pc: int) -> int:
-    """Follow unconditional-jump chains; the returned pc is never an IJump."""
-    instrs = program.funcs[func].instrs
-    seen = 0
-    while isinstance(instrs[pc], IJump):
-        pc = instrs[pc].target
-        seen += 1
-        if seen > len(instrs):  # pragma: no cover - compiler never emits jump cycles
-            raise RuntimeFault("jump-cycle", f"in {func}")
-    return pc
 
 
 def current_instr(program: Program, proc: Process) -> Instr:
@@ -267,7 +254,7 @@ def _exec_join(
 ) -> tuple[Config, ActionInfo]:
     instr = current_instr(program, proc)
     assert isinstance(instr, ICobegin)
-    join_pc = resolve_pc(program, proc.top.func, instr.join_target)
+    join_pc = program.funcs[proc.top.func].landing[instr.join_target]
     new_top = replace(proc.top, pc=join_pc)
     new_proc = replace(
         proc,
@@ -304,10 +291,12 @@ def _dispatch(
 ) -> tuple[Config, ActionInfo]:
     top = proc.top
     func = top.func
+    code = program.funcs[func]
+    landing = code.landing
 
     def advance(pc: int, locals_: tuple[Value, ...] | None = None) -> Process:
         new_top = replace(
-            top, pc=resolve_pc(program, func, pc), locals=top.locals if locals_ is None else locals_
+            top, pc=landing[pc], locals=top.locals if locals_ is None else locals_
         )
         return replace(proc, frames=proc.frames[:-1] + (new_top,))
 
@@ -432,11 +421,11 @@ def _dispatch(
         if instr.target is not None:
             ret_loc = eval_lvalue(instr.target, config, top.locals, reads)
         # caller resumes past the call
-        caller_top = replace(top, pc=resolve_pc(program, func, top.pc + 1))
+        caller_top = replace(top, pc=landing[top.pc + 1])
         locals_ = tuple(args) + (0,) * (fc.num_locals - fc.num_params)
         callee_frame = Frame(
             func=callee.name,
-            pc=resolve_pc(program, callee.name, 0),
+            pc=fc.landing[0],
             locals=locals_,
             ret_loc=ret_loc,
         )
@@ -489,7 +478,6 @@ def _dispatch(
         )
 
     if isinstance(instr, ICobegin):
-        fc = program.funcs[func]
         children: list[Process] = []
         writes: list[Loc] = []
         for i, bt in enumerate(instr.branch_targets):
@@ -503,8 +491,8 @@ def _dispatch(
                     frames=(
                         Frame(
                             func=func,
-                            pc=resolve_pc(program, func, bt),
-                            locals=(0,) * fc.num_locals,
+                            pc=landing[bt],
+                            locals=(0,) * code.num_locals,
                             ret_loc=None,
                         ),
                     ),

@@ -3,15 +3,46 @@
 import pytest
 
 from repro.abstraction import clan_explore, taylor_explore
-from repro.explore import explore
+from repro.explore import TERMINATED, explore
 from repro.lang import parse_program
 from repro.programs.synthetic import identical_tasks
+
+
+#: branch bodies with their own control flow: their jump targets must be
+#: compared region-relative, like branch targets, or the branches never
+#: group and the folded count grows with n
+_CONTROL_SHAPES = (
+    "while (x < 2) { x = x + 1; }",
+    "if (x == 0) { x = 1; } else { x = 2; }",
+)
+
+
+def _identical_branches(body: str, n: int):
+    return parse_program(
+        "var x = 0; func main() { cobegin "
+        + " ".join("{ " + body + " }" for _ in range(n))
+        + " }"
+    )
 
 
 def test_clan_state_count_independent_of_n():
     counts = {n: clan_explore(identical_tasks(n, steps=1)).stats.num_states
               for n in (2, 3, 4)}
     assert counts[2] == counts[3] == counts[4]
+    for body in _CONTROL_SHAPES:
+        counts = {
+            n: clan_explore(_identical_branches(body, n)).stats.num_states
+            for n in (2, 3, 4)
+        }
+        assert counts[2] == counts[3] == counts[4], (body, counts)
+        # the folded space still covers every concrete result
+        prog = _identical_branches(body, 3)
+        folded = clan_explore(prog)
+        concrete = explore(prog, "full")
+        results = concrete.graph.terminals(TERMINATED)
+        assert results
+        for cid in results:
+            assert folded.covers_config(concrete.graph.configs[cid]), body
 
 
 def test_clan_beats_full_for_many_tasks():

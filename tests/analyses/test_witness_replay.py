@@ -75,3 +75,42 @@ def test_reduced_graph_witnesses_are_real_executions(prog, data):
     assert w is not None
     final = replay(prog, w)
     assert final == r.graph.configs[target]
+
+
+def test_out_of_order_witness_is_rejected():
+    """A witness that runs a guarded step before its enabler is no
+    execution: replay raises a typed error (not an ``assert``, which
+    ``python -O`` strips) instead of executing the disabled guard."""
+    import dataclasses
+
+    import pytest
+
+    from repro.lang import parse_program
+    from repro.util.errors import ReproError, ScheduleError
+
+    prog = parse_program(
+        "var f = 0; var g = 0;"
+        "func main() { cobegin { w: assume(f == 1); g = 1; } { s: f = 1; } }"
+    )
+    r = explore(prog, "full")
+    w = outcome_witness(r, f=1, g=1)
+    labels = [label for _, label in w.steps]
+    assert labels.index("s") < labels.index("w")
+    assert replay(prog, w) == r.graph.configs[w.target]
+
+    # move the guard ahead of the write that enables it
+    steps = list(w.steps)
+    guard = steps.pop(labels.index("w"))
+    steps.insert(labels.index("s"), guard)
+    bogus = dataclasses.replace(w, steps=tuple(steps))
+    with pytest.raises(ScheduleError, match="not enabled"):
+        replay(prog, bogus)
+    assert issubclass(ScheduleError, ReproError)
+
+    # a step whose label differs from what the process executes
+    pid, _ = w.steps[-1]
+    relabelled = dataclasses.replace(
+        w, steps=w.steps[:-1] + ((pid, "no-such-label"),)
+    )
+    with pytest.raises(ScheduleError, match="executed"):
+        replay(prog, relabelled)

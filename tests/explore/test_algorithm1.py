@@ -3,7 +3,8 @@ of the closure behaviour on hand-built configurations."""
 
 from repro.analyses.accesses import access_analysis
 from repro.explore.algorithm1 import AlgorithmOneSelector
-from repro.explore.explorer import ExploreOptions, _expand, explore
+from repro.explore.explorer import ExploreOptions, explore
+from repro.explore.memo import expand
 from repro.lang import parse_program
 from repro.semantics import initial_config, next_infos
 from repro.semantics.step import StepOptions
@@ -14,7 +15,7 @@ def selector_for(prog):
 
 
 def expansions_at(prog, config):
-    return _expand(prog, config, access_analysis(prog), ExploreOptions())
+    return expand(prog, config, access_analysis(prog), ExploreOptions())
 
 
 def after_spawn(prog):

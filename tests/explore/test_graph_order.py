@@ -10,12 +10,14 @@ stack.
 
 The pinned values were computed with the engine as it stood before its
 two serial drivers were merged into one loop, so passing here means the
-merged loop builds bit-identical graphs.  They are independent of
+merged loop builds bit-identical graphs.  Every pin is checked with the
+expansion memo on (the default) and off.  They are independent of
 ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -63,5 +65,15 @@ def graph_order_digest(graph) -> str:
 @pytest.mark.parametrize("name,combo", sorted(PINS))
 def test_graph_order_pinned(name, combo):
     result = explore(CORPUS[name](), options=COMBOS[combo])
+    assert not result.stats.truncated
+    assert graph_order_digest(result.graph) == PINS[(name, combo)]
+
+
+@pytest.mark.parametrize("name,combo", sorted(PINS))
+def test_graph_order_pinned_without_memo(name, combo):
+    """The same pins with the expansion memo off: the expansion loop's
+    uncached path builds the same graphs in the same order."""
+    options = dataclasses.replace(COMBOS[combo], memo=False)
+    result = explore(CORPUS[name](), options=options)
     assert not result.stats.truncated
     assert graph_order_digest(result.graph) == PINS[(name, combo)]

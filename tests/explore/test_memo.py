@@ -25,8 +25,7 @@ import pytest
 
 from repro.analyses.accesses import access_analysis
 from repro.bench import SMOKE_PROGRAMS, result_digest
-from repro.explore import ExpandCache, ExploreOptions, expand_memoized, explore
-from repro.explore.explorer import _expand
+from repro.explore import ExpandCache, ExploreOptions, expand, explore
 from repro.lang import parse_program
 from repro.programs.corpus import CORPUS
 from repro.semantics.config import initial_config
@@ -135,7 +134,7 @@ func main() {
 
 
 def _expand_memo(prog, config, access, opts, cache):
-    return expand_memoized(prog, config, access, opts, cache, None, None)
+    return expand(prog, config, access, opts, cache)
 
 
 def test_footprint_invalidation_is_targeted():
@@ -179,7 +178,7 @@ def test_footprint_invalidation_is_targeted():
     replayed = cache.replay(entry, y_reader.proc, after_write)
     [fresh] = [
         e
-        for e in _expand(
+        for e in expand(
             prog, after_write, access,
             ExploreOptions(policy="full", memo=False),
         )

@@ -1,6 +1,7 @@
 """MetricsObserver ↔ engine integration: the deep instrumentation."""
 
 from repro.explore import ExploreOptions, explore
+from repro.explore.explorer import PEAK_RSS
 from repro.metrics import MetricsObserver, MetricsRegistry, attached_registry
 from repro.programs.philosophers import philosophers
 from repro.programs.synthetic import local_heavy
@@ -97,7 +98,9 @@ def test_deterministic_except_timing(fig2):
     explore(fig2, "stubborn", coarsen=True, observers=(a,))
     explore(fig2, "stubborn", coarsen=True, observers=(b,))
     sa, sb = a.snapshot(), b.snapshot()
-    timing = {"explore.wall_s", "explore.expansions_per_s"}
+    # peak RSS depends on what the process ran before, so it is stripped
+    # like the timings (as the cross-backend metric checks do)
+    timing = {"explore.wall_s", "explore.expansions_per_s", PEAK_RSS}
     assert {k: v for k, v in sa.items() if k not in timing} == {
         k: v for k, v in sb.items() if k not in timing
     }
