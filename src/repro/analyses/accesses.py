@@ -55,7 +55,7 @@ from repro.lang.instructions import (
     RUnary,
 )
 from repro.lang.program import Program
-from repro.semantics.config import Loc, Process
+from repro.semantics.config import Frame, Loc, Process
 from repro.util.fixpoint import Worklist
 
 StaticLoc = tuple
@@ -364,13 +364,28 @@ class AccessAnalysis:
         acc = StaticAccess.EMPTY
         for fr in proc.frames:
             acc = acc.union(self.future(fr.func, fr.pc))
-            if fr.ret_loc is not None and fr.ret_loc[0] == "g":
-                acc = StaticAccess(acc.reads, acc.writes | {("g", fr.ret_loc[1])})
-            elif fr.ret_loc is not None and fr.ret_loc[0] == "h":
-                acc = StaticAccess(
-                    acc.reads, acc.writes | {("site", fr.ret_loc[1][0])}
-                )
+            w = self.ret_write(fr)
+            if w is not None:
+                acc = StaticAccess(acc.reads, acc.writes | {w})
         return acc
+
+    @staticmethod
+    def ret_write(frame: Frame) -> StaticLoc | None:
+        """The static location *frame*'s pending return writes.
+
+        An ``IReturn`` stores its value into the caller's destination,
+        recorded on the callee frame as ``ret_loc``: a global maps to
+        ``("g", i)``, a heap cell to its allocation ``("site", s)``.  A
+        caller local (or no destination) is process-private: None.
+        """
+        loc = frame.ret_loc
+        if loc is None:
+            return None
+        if loc[0] == "g":
+            return ("g", loc[1])
+        if loc[0] == "h":
+            return ("site", loc[1][0])
+        return None
 
     # ------------------------------------------------------------------
     # sharedness (critical references)

@@ -61,7 +61,10 @@ from repro.metrics.registry import (
 #: :class:`~repro.trace.RingBufferSink` — a truncated trace is no
 #: longer indistinguishable from a complete one — and
 #: ``serve.store_evictions`` (``repro store gc``).
-SCHEMA_VERSION = "repro.metrics/6"
+#: ``/7`` adds ``algorithm1.scans`` / ``algorithm1.scan_hits``
+#: (counters): Algorithm 1's D1/D2 universe scans run fresh versus
+#: answered from the selector's per-exploration memo (worker-local).
+SCHEMA_VERSION = "repro.metrics/7"
 
 __all__ = [
     "Counter",

@@ -31,6 +31,8 @@ name                                    type       meaning
 ``stubborn.chosen``                     histogram  chosen stubborn-set sizes
 ``stubborn.closure_iterations``         histogram  worklist pops per closure
 ``stubborn.singleton_steps``            counter    steps with |chosen| == 1
+``algorithm1.scans``                    counter    D1/D2 universe scans run
+``algorithm1.scan_hits``                counter    D1/D2 scans served memoised
 ``coarsen.block_len``                   histogram  fused-block lengths
 ``expand.cache_hits``                   counter    memoized expansions replayed
 ``expand.cache_misses``                 counter    expansions computed fresh

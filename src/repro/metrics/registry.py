@@ -147,10 +147,18 @@ LAST_WRITE_GAUGES = frozenset(
 #: - ``explore.frontier_depth`` — a BFS queue and a sharded frontier
 #:   have different shapes;
 #: - ``explore.intern.hits`` — workers dedup successor batches before
-#:   interning, so parallel hit counts are legitimately lower.
+#:   interning, so parallel hit counts are legitimately lower;
+#: - ``algorithm1.scans`` / ``algorithm1.scan_hits`` — each worker's
+#:   selector keeps its own scan memo, so the split between fresh and
+#:   memoised scans follows which shard met a key first.
 WORKER_LOCAL_PREFIXES = ("parallel.", "expand.", "digest.")
 WORKER_LOCAL_SERIES = frozenset(
-    {"explore.frontier_depth", "explore.intern.hits"}
+    {
+        "explore.frontier_depth",
+        "explore.intern.hits",
+        "algorithm1.scans",
+        "algorithm1.scan_hits",
+    }
 )
 
 

@@ -2,12 +2,16 @@
 of the closure behaviour on hand-built configurations."""
 
 from repro.analyses.accesses import access_analysis
-from repro.explore.algorithm1 import AlgorithmOneSelector
+from repro.explore import algorithm1
+from repro.explore.algorithm1 import AlgorithmOneSelector, _static
 from repro.explore.explorer import ExploreOptions, explore
 from repro.explore.memo import expand
 from repro.lang import parse_program
+from repro.metrics import MetricsObserver
+from repro.programs.philosophers import philosophers_source
 from repro.semantics import initial_config, next_infos
 from repro.semantics.step import StepOptions
+from tests.explore.test_graph_order import graph_order_digest
 
 
 def selector_for(prog):
@@ -162,3 +166,46 @@ def test_lock_contenders_both_in_set():
     chosen = sel.select(expansions_at(prog, config))
     labels = {e.actions[0].label for e in chosen}
     assert labels == {"a", "b"}  # acquires of one lock disable each other
+
+
+# -- the per-exploration scan memo ---------------------------------------
+
+#: graph_order_digest of philosophers(7) under stubborn+coarsen, as the
+#: selector produced it before its scans were memoised
+PHIL7_REDUCED_GRAPH = "61a92d9c15912dd2970fbdf5218587af"
+#: ``matches`` calls per configuration on that run before the memo
+PHIL7_UNMEMOISED_MATCHES_PER_CONFIG = 285.7
+
+
+def test_scan_memo_scans_each_key_once(monkeypatch):
+    calls = [0]
+    real_matches = algorithm1.matches
+
+    def counting_matches(static_set, loc):
+        calls[0] += 1
+        return real_matches(static_set, loc)
+
+    d2_keys = []
+    real_scan = AlgorithmOneSelector._scan_dependents
+
+    def recording_scan(self, uni, reads, writes):
+        d2_keys.append((_static(reads), _static(writes), uni.uid))
+        return real_scan(self, uni, reads, writes)
+
+    monkeypatch.setattr(algorithm1, "matches", counting_matches)
+    monkeypatch.setattr(AlgorithmOneSelector, "_scan_dependents", recording_scan)
+    mo = MetricsObserver()
+    prog = parse_program(philosophers_source(7))
+    result = explore(
+        prog, options=ExploreOptions(policy="stubborn", coarsen=True),
+        observers=(mo,),
+    )
+
+    assert graph_order_digest(result.graph) == PHIL7_REDUCED_GRAPH
+    configs = result.stats.num_configs
+    assert calls[0] / configs <= PHIL7_UNMEMOISED_MATCHES_PER_CONFIG / 10
+    assert d2_keys and len(d2_keys) == len(set(d2_keys))
+    snap = mo.snapshot()
+    scans = snap["algorithm1.scans"]["value"]
+    assert scans >= len(d2_keys)  # D1 guard scans count too
+    assert snap["algorithm1.scan_hits"]["value"] > scans
