@@ -78,6 +78,7 @@ def build_block(
     metrics=None,
     tracer=None,
     footprint: list | None = None,
+    share: dict | None = None,
 ) -> Block:
     """Execute the maximal coarsened block of process *pid* from
     *config*.  The first action is executed unconditionally (the caller
@@ -94,7 +95,10 @@ def build_block(
     process seeing equal footprint values anywhere replays the exact
     same block (the expansion memo cache's soundness condition).
     Locations already written by the block are skipped: their values are
-    determined by the block itself, not the base."""
+    determined by the block itself, not the base.
+
+    *share* is the run's share table, handed to every
+    :func:`~repro.semantics.step.execute` of the block."""
     span = None if tracer is None else tracer.begin_span("coarsen.fuse", pid=pid)
     proc = config.proc(pid)
     touched: set | None = None
@@ -118,7 +122,7 @@ def build_block(
                 touched.add(loc)
                 footprint.append((loc, loc_value(base, loc)))
 
-    succ, action = execute(program, config, proc, opts)
+    succ, action = execute(program, config, proc, opts, share)
     if touched is not None:
         touch(action, config)
     actions = [action]
@@ -147,7 +151,7 @@ def build_block(
                     footprint.append((loc, value))
         if not enabled:
             break
-        cand_succ, cand_action = execute(program, succ, nxt, opts)
+        cand_succ, cand_action = execute(program, succ, nxt, opts, share)
         if touched is not None:
             # recorded whether the candidate is kept or discarded: a
             # discarded candidate's reads/writes decided the stop

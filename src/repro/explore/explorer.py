@@ -61,7 +61,7 @@ from repro.explore.algorithm1 import AlgorithmOneSelector
 from repro.explore.expansion import Expansion
 from repro.explore.graph import DEADLOCK, FAULT, TERMINATED, ConfigGraph
 from repro.explore.memo import ExpandCache, expand
-from repro.explore.observers import Observer, attached
+from repro.explore.observers import Observer, attached, attached_all
 from repro.explore.sleepsets import entry_of, independent, transition_key
 from repro.explore.stubborn import StubbornSelector, StubbornStats
 from repro.lang.program import Program
@@ -372,10 +372,10 @@ def explore(
 
     access = _make_access(program, opts)
     selector = _make_selector(program, access, opts.policy)
-    metrics = attached(observers, "registry")
+    registries = attached_all(observers, "registry")
     # the run's own registry; deep instrumentation needs an attached one
     run = MetricsRegistry()
-    deep = run if metrics is not None else None
+    deep = run if registries else None
     if selector is not None:
         selector.metrics = deep
     tracer = attached(observers, "tracer")
@@ -395,6 +395,9 @@ def explore(
         cache = None
     else:
         cache = expand_cache if expand_cache is not None else ExpandCache()
+    # the run's share table: successor processes and actions, each kept
+    # once (semantics.step); dropped with the run
+    share: dict = {}
     digest_base = digest_stats()
 
     discipline = _SleepStack if opts.sleep else _Fifo
@@ -485,7 +488,7 @@ def explore(
 
             expansions = _expand_guarded(
                 program, config, cid, access, opts, run, deep, tracer,
-                cache=cache,
+                cache=cache, share=share,
             )
             if expansions is None:
                 _truncate(stats, "internal-error", tracer)
@@ -521,12 +524,12 @@ def explore(
             rounds.close()
         return _finalize(
             program, graph, stats, run, opts, access, selector, guard,
-            metrics, t0, checkpointer, tracer, cache=cache,
-            digest_base=digest_base, progress=progress,
+            registries, t0, checkpointer, tracer, cache=cache,
+            digest_base=digest_base, progress=progress, share=share,
         )
     except BaseException:
         # a run that raises still reports the work it did
-        _publish(run, metrics)
+        _publish(run, registries)
         raise
 
 
@@ -765,7 +768,7 @@ def _within_memory_budget(expansions: int, peak, opts: ExploreOptions) -> bool:
 
 def _expand_guarded(
     program, config, cid, access, opts, run, metrics, tracer=None,
-    cache=None,
+    cache=None, share=None,
 ) -> list[Expansion] | None:
     """Expansion with engine-bug isolation: an exception here loses this
     configuration's successors, so it is counted in
@@ -775,7 +778,9 @@ def _expand_guarded(
     latter on every backend) and the parallel BFS workers."""
     try:
         chaos.kick("eval")
-        return expand(program, config, access, opts, cache, metrics, tracer)
+        return expand(
+            program, config, access, opts, cache, metrics, tracer, share
+        )
     except Exception as exc:
         faults = run.counter("explore.engine_faults")
         faults.value += 1
@@ -848,20 +853,20 @@ def _mark_terminal(graph, cid, config, status, guard) -> None:
 
 
 def _finalize(
-    program, graph, base, run, opts, access, selector, guard, metrics, t0,
-    checkpointer=None, tracer=None, cache=None, digest_base=None,
-    progress=None,
+    program, graph, base, run, opts, access, selector, guard, registries,
+    t0, checkpointer=None, tracer=None, cache=None, digest_base=None,
+    progress=None, share=None,
 ) -> ExploreResult:
     """``on_done`` fan-out, the stats (*base* plus the counts in *run*),
-    and publishing *run* into the attached registry *metrics*, then the
-    last-write gauges derived from all it holds — shared by both
-    drivers, truncated runs included."""
+    and publishing *run* into each attached registry in *registries*,
+    then, in each, the last-write gauges derived from all it holds —
+    shared by both drivers, truncated runs included."""
     guard.on_done(graph)
     run.gauge(PEAK_RSS).set(max(run.get(PEAK_RSS), _current_rss_bytes()))
     elapsed = time.perf_counter() - t0
-    if metrics is not None:
+    if registries:
         run.timer("explore.wall_s").add(elapsed)
-        _count_incremental(run, cache, digest_base)
+        _count_incremental(run, cache, digest_base, share)
     stats = _stats_view(base, run)
     stats.num_configs = graph.num_configs
     stats.num_edges = graph.num_edges
@@ -884,8 +889,8 @@ def _finalize(
         tracer.event("explore.done", **done)
     if progress is not None:
         progress.emit("done", expansions=stats.expansions, **done)
-    if metrics is not None:
-        _publish(run, metrics)
+    _publish(run, registries)
+    for metrics in registries:
         metrics.set_gauge(
             "explore.expansions_per_s",
             stats.expansions / elapsed if elapsed > 0 else 0.0,
@@ -916,22 +921,28 @@ def _finalize(
     )
 
 
-def _publish(run: MetricsRegistry, metrics) -> None:
-    """Merge a run's registry into the attached one, if any.  A counter
-    that never moved stays absent, like an event that never happened;
-    the parallel interconnect series are reported even at zero."""
-    if metrics is not None:
-        metrics.merge({
-            name: data for name, data in run.snapshot().items()
-            if data["type"] != "counter" or data["value"]
-            or name.startswith("parallel.")
-        })
+def _publish(run: MetricsRegistry, registries) -> None:
+    """Merge a run's registry into every attached one.  A counter that
+    never moved stays absent, like an event that never happened; the
+    parallel interconnect series are reported even at zero."""
+    if not registries:
+        return
+    snapshot = {
+        name: data for name, data in run.snapshot().items()
+        if data["type"] != "counter" or data["value"]
+        or name.startswith("parallel.")
+    }
+    for metrics in registries:
+        metrics.merge(snapshot)
 
 
-def _count_incremental(registry, cache, digest_base) -> None:
+def _count_incremental(registry, cache, digest_base, share=None) -> None:
     """Count the expansion memo's work (*cache*, if the caller drove
-    one) and this run's share of the process-global
+    one), the size of the run's share table (*share*, if it kept one)
+    and this run's share of the process-global
     :func:`~repro.semantics.config.digest_stats` into *registry*."""
+    if share:
+        registry.inc("step.shared_objects", len(share))
     if cache is not None:
         for name, val in cache.counters().items():
             if val:

@@ -424,9 +424,11 @@ def expand(
     cache: ExpandCache | None = None,
     metrics=None,
     tracer=None,
+    share: dict | None = None,
 ) -> list[Expansion]:
     """Per-process expansions at *config*, coarsened or single-step —
-    the one expansion loop of every driver.
+    the one expansion loop of every driver.  *share* is the run's share
+    table, handed to every :func:`~repro.semantics.step.execute`.
 
     With *cache*, each process is probed first: a hit replays the cached
     outcome, a miss computes it while recording its footprint and fills
@@ -483,6 +485,7 @@ def expand(
                 metrics=metrics,
                 tracer=tracer,
                 footprint=footprint,
+                share=share,
             )
             exp = Expansion(
                 proc=proc,
@@ -498,7 +501,7 @@ def expand(
                     block_len=len(block.actions), block_crit=block.crit,
                 )
         else:
-            succ, action = execute(program, config, proc, step_opts)
+            succ, action = execute(program, config, proc, step_opts, share)
             exp = Expansion(
                 proc=proc,
                 enabled=True,

@@ -30,6 +30,17 @@ def attached(observers, attr: str):
     return None
 
 
+def attached_all(observers, attr: str) -> list:
+    """Every non-None *attr* among *observers*, in order: a run
+    publishes its registry into each attached
+    :class:`repro.metrics.MetricsObserver`, while deep instrumentation
+    keys off the first (:func:`attached`)."""
+    return [
+        value for value in (getattr(ob, attr, None) for ob in observers)
+        if value is not None
+    ]
+
+
 class Observer:
     """Base observer; all callbacks default to no-ops.
 

@@ -101,7 +101,7 @@ from repro.explore.explorer import (
 )
 from repro.explore.graph import DEADLOCK, ConfigGraph
 from repro.explore.memo import ExpandCache
-from repro.explore.observers import attached
+from repro.explore.observers import attached, attached_all
 from repro.explore.stubborn import StubbornStats
 from repro.lang.program import Program
 from repro.metrics.registry import MetricsRegistry
@@ -265,6 +265,7 @@ class _Worker:
         self.access = _make_access(program, opts)
         self.selector = _make_selector(program, self.access, opts.policy)
         self.cache = ExpandCache() if getattr(opts, "memo", True) else None
+        self.share: dict = {}  # the worker's share table (semantics.step)
         self.digest_base = digest_stats()
         # the worker's counts, shipped with every dump (deep
         # instrumentation only when the master has a registry attached)
@@ -504,7 +505,7 @@ class _Worker:
         marks: list[tuple] = []
         expansions = _expand_guarded(
             self.program, config, lid, self.access, self.opts, self.registry,
-            self.metrics, self.tracer, cache=self.cache,
+            self.metrics, self.tracer, cache=self.cache, share=self.share,
         )
         if expansions is None:
             self.shared.engine_fault.value = 1
@@ -645,7 +646,9 @@ class _Worker:
     def _dump(self, final: bool) -> None:
         self.registry.gauge(PEAK_RSS).set(_current_rss_bytes())
         if final and self.metrics is not None:
-            _count_incremental(self.registry, self.cache, self.digest_base)
+            _count_incremental(
+                self.registry, self.cache, self.digest_base, self.share
+            )
         payload = {
             "wid": self.wid,
             # graph content ships as a delta over the fragments already
@@ -1247,7 +1250,7 @@ def _bfs_attempt(
     t0 = time.perf_counter()
     deadline = None if opts.time_limit_s is None else t0 + opts.time_limit_s
     nshards = opts.jobs
-    metrics = attached(observers, "registry")
+    registries = attached_all(observers, "registry")
     tracer = attached(observers, "tracer")
     emitter = attached(observers, "progress")
     digest_base = digest_stats()
@@ -1275,7 +1278,7 @@ def _bfs_attempt(
             setattr(stats, name, getattr(snap["stats"], name))
     # the master counts graph events and merges the workers' counts in
     run = MetricsRegistry()
-    deep = run if metrics is not None else None
+    deep = run if registries else None
     peak = run.gauge(PEAK_RSS)
     guard = _ObserverGuard(observers, run, tracer)
 
@@ -1287,7 +1290,7 @@ def _bfs_attempt(
     pool = _Pool(
         program, opts, nshards,
         outstanding0, len(snap["configs"]) if snap else 0,
-        want_metrics=metrics is not None,
+        want_metrics=bool(registries),
         want_trace=tracer is not None,
         trace_wall=tracer.record_wall if tracer is not None else True,
     )
@@ -1440,10 +1443,11 @@ def _bfs_attempt(
             guard, graph, edge_items, term_items, snap, tracer,
             trace_batches, {graph.config_id(c): key for key, c in frag.items()},
         )
-        if metrics is not None:
+        if registries:
             balance = stats.shard_balance
             if balance is not None:
-                metrics.set_gauge("parallel.shard_balance", balance)
+                for metrics in registries:
+                    metrics.set_gauge("parallel.shard_balance", balance)
             run.timer("parallel.merge_overlap_s").add(acc.overlap_s)
             run.timer("parallel.merge_tail_s").add(acc.tail_s)
         if merge_span is not None:
@@ -1451,7 +1455,7 @@ def _bfs_attempt(
                 merge_span, configs=graph.num_configs, edges=graph.num_edges
             )
         result = _finalize(
-            program, graph, stats, run, opts, access, None, guard, metrics,
+            program, graph, stats, run, opts, access, None, guard, registries,
             t0, checkpointer, tracer, digest_base=digest_base,
             progress=emitter,
         )
@@ -1459,7 +1463,7 @@ def _bfs_attempt(
         return result
     except BaseException:
         # a failed attempt still reports the work its master did
-        _publish(run, metrics)
+        _publish(run, registries)
         raise
     finally:
         pool.shutdown()

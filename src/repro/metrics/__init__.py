@@ -64,7 +64,10 @@ from repro.metrics.registry import (
 #: ``/7`` adds ``algorithm1.scans`` / ``algorithm1.scan_hits``
 #: (counters): Algorithm 1's D1/D2 universe scans run fresh versus
 #: answered from the selector's per-exploration memo (worker-local).
-SCHEMA_VERSION = "repro.metrics/7"
+#: ``/8`` adds ``step.shared_objects`` (counter): the entries of the
+#: run's share table (:mod:`repro.semantics.step`) when it ends —
+#: processes, actions and action keys; summed over workers.
+SCHEMA_VERSION = "repro.metrics/8"
 
 __all__ = [
     "Counter",

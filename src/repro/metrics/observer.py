@@ -34,6 +34,7 @@ name                                    type       meaning
 ``algorithm1.scans``                    counter    D1/D2 universe scans run
 ``algorithm1.scan_hits``                counter    D1/D2 scans served memoised
 ``coarsen.block_len``                   histogram  fused-block lengths
+``step.shared_objects``                 counter    share-table entries at run end
 ``expand.cache_hits``                   counter    memoized expansions replayed
 ``expand.cache_misses``                 counter    expansions computed fresh
 ``expand.invalidations``                counter    footprint mismatches (stale)

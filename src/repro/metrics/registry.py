@@ -151,6 +151,8 @@ LAST_WRITE_GAUGES = frozenset(
 #: - ``algorithm1.scans`` / ``algorithm1.scan_hits`` — each worker's
 #:   selector keeps its own scan memo, so the split between fresh and
 #:   memoised scans follows which shard met a key first.
+#: - ``step.shared_objects`` — each worker keeps its own share table,
+#:   so the sum over workers counts objects more than one shard built.
 WORKER_LOCAL_PREFIXES = ("parallel.", "expand.", "digest.")
 WORKER_LOCAL_SERIES = frozenset(
     {
@@ -158,6 +160,7 @@ WORKER_LOCAL_SERIES = frozenset(
         "explore.intern.hits",
         "algorithm1.scans",
         "algorithm1.scan_hits",
+        "step.shared_objects",
     }
 )
 

@@ -14,20 +14,29 @@ the other (a parent is blocked at its join while children run).
 Interning
 ---------
 Successor configurations along different interleavings share almost all
-of their structure.  :func:`intern_config` (and the per-component
-:func:`intern_process` / :func:`intern_heap_obj`) canonicalize
-structurally equal values to one representative object, so equality
-checks degrade to pointer comparisons for the common hit case and the
-resident set stops paying for duplicated ``Process`` tuples.  Unpickling
-routes through the intern tables too, which is what makes configurations
-cheap to ship between the processes of the parallel exploration backend:
-a worker that receives a configuration it has seen before gets back the
-exact object it already holds.
+of their structure.  Within one exploration, the interpreter shares
+what it builds: every run (the serial loop, each parallel worker) keeps
+a share table, and :func:`~repro.semantics.step.execute` returns the
+run's canonical equal :class:`Process` for each successor it builds, so
+equality checks between configurations of one run degrade to pointer
+comparisons and the resident set holds each distinct process once.  The
+table belongs to the run and is dropped with it.
 
-``_hash`` is a *salted, per-process* hash — fine for dict probing, never
-for identity: all visited-set structures key on full structural equality
-(dict/set semantics), and cross-process shard routing uses
-:func:`stable_digest`, which is independent of ``PYTHONHASHSEED``.
+The process-global tables behind :func:`intern_config` (and the
+per-component :func:`intern_process` / :func:`intern_heap_obj`) remain
+for transport: unpickling routes through them, which is what makes
+configurations cheap to ship between the processes of the parallel
+exploration backend — a worker that receives a configuration it has
+seen before gets back the exact object it already holds.
+
+``Config._hash`` and ``Process._hash`` are *salted, per-process* hashes —
+fine for dict probing, never for identity: all visited-set structures
+key on full structural equality (dict/set semantics), and cross-process
+shard routing uses :func:`stable_digest`, which is independent of
+``PYTHONHASHSEED``.  A process caches its hash on first use, so a
+configuration's hash is composed from the cached hashes of its (shared)
+processes; neither hash is pickled, so a snapshot written under one
+hash seed resumes under another.
 
 O(delta) digests
 ----------------
@@ -156,6 +165,22 @@ class Process:
     _digest: Optional[bytes] = field(
         default=None, init=False, compare=False, repr=False
     )
+
+    #: Cached salted hash, set on first use (a class default, so the
+    #: constructor never writes it and ``dataclasses.replace`` never
+    #: copies it).  ``__reduce__`` omits it: a hash computed under one
+    #: ``PYTHONHASHSEED`` never reaches an OS process using another.
+    _hash = None
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(
+                (self.pid, self.frames, self.status, self.join_pc,
+                 self.children, self.retval, self.ps)
+            )
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def top(self) -> Frame:

@@ -14,11 +14,34 @@ Besides the successor configuration, every action reports:
 **necessary enabling set** (NES): the locations some other process must
 write before the process can become enabled.  The stubborn-set closure
 consumes this.
+
+Successors
+----------
+:func:`execute` builds a successor from one new :class:`Frame` (a call
+pushes two) and one new :class:`Process`, by direct construction, and
+swaps that process into the configuration; every other component is
+shared with the parent by reference.
+
+An exploration passes its **share table** (a plain dict it creates and
+drops with the run; each parallel worker keeps its own) as ``share``.
+New processes are then looked up in it and replaced by the run's
+canonical equal object, and the :class:`ActionInfo` comes from it by its
+key ``(pre-step process, reads, writes, (allocs, entered, exited))``:
+the program fixes the instruction from the process, so the key fixes
+the action, and a hit builds nothing.  A new action is canonicalised by
+value too, so a run holds each distinct process and action once (on
+``philosophers(5)`` fully interleaved: 44 processes and 38 actions
+instead of 18,343 and 69,438 objects).  Shared processes carry their
+cached hash (:class:`~repro.semantics.config.Process`), so hashing and
+comparing successor configurations costs per changed process.  Called
+without ``share`` (replay, the scheduler, tests), :func:`execute` builds
+fresh, equal objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.lang.instructions import (
     IAcquire,
@@ -34,13 +57,13 @@ from repro.lang.instructions import (
     ISkip,
     IThreadEnd,
     Instr,
-    RFunc,
 )
 from repro.lang.program import Program
 from repro.semantics import procstring as PS
 from repro.semantics.config import (
     DONE,
     JOINING,
+    ROOT_PID,
     RUNNING,
     Config,
     Frame,
@@ -196,222 +219,156 @@ def _record_reads(
 # execution
 # --------------------------------------------------------------------------
 
+#: ``(allocs, entered, exited)`` of an action that does none of them
+_NO_EXTRA = ((), None, None)
+
+_by_pid = attrgetter("pid")
+_by_oid = attrgetter("oid")
+
 
 def execute(
     program: Program,
     config: Config,
     proc: Process,
     opts: StepOptions = StepOptions(),
+    share: dict | None = None,
 ) -> tuple[Config, ActionInfo]:
     """Execute *proc*'s next atomic action.  The caller must have checked
     enabledness.  A :class:`RuntimeFault` in the subject program yields a
-    terminal fault configuration, not a Python exception."""
-    stack = proc.func_stack()
-    depth = proc.depth if proc.frames else 0
-    base = dict(
-        pid=proc.pid,
-        stack=stack,
-        depth=depth,
-        ps=proc.ps,
-    )
+    terminal fault configuration, not a Python exception.
 
-    if proc.status == JOINING:
-        return _exec_join(program, config, proc, base)
-
+    *share* is the calling run's share table (see the module doc): the
+    successor's new processes and the action come back as the run's
+    canonical equal objects.  Without it every call builds fresh ones."""
     instr = current_instr(program, proc)
     reads: list[Loc] = []
     try:
-        return _dispatch(program, config, proc, instr, reads, base, opts)
+        procs, writes, globals_, heap, extra = _successor(
+            program, config, proc, instr, reads, opts, share
+        )
     except RuntimeFault as fault:
-        action = ActionInfo(
-            label=instr.label,
-            kind=type(instr).__name__,
-            reads=tuple(reads),
-            writes=(),
-            line=instr.line,
-            **base,
-        )
         fault_cfg = Config(
-            procs=config.procs,
-            globals=config.globals,
-            heap=config.heap,
-            fault=f"{fault.kind} at {instr.label or instr.line}: {fault.detail}",
+            config.procs,
+            config.globals,
+            config.heap,
+            f"{fault.kind} at {instr.label or instr.line}: {fault.detail}",
         )
-        return fault_cfg, action
+        return fault_cfg, _action(proc, instr, tuple(reads), (), _NO_EXTRA, share)
+    succ = Config(procs, globals_, heap)
+    if opts.gc and heap:
+        succ = collect_garbage(succ)
+    return succ, _action(proc, instr, tuple(reads), writes, extra, share)
 
 
-def _finish(
-    config: Config,
-    opts: StepOptions,
-) -> Config:
-    if opts.gc and config.fault is None:
-        return collect_garbage(config)
-    return config
-
-
-def _exec_join(
-    program: Program, config: Config, proc: Process, base: dict
-) -> tuple[Config, ActionInfo]:
-    instr = current_instr(program, proc)
-    assert isinstance(instr, ICobegin)
-    join_pc = program.funcs[proc.top.func].landing[instr.join_target]
-    new_top = replace(proc.top, pc=join_pc)
-    new_proc = replace(
-        proc,
-        frames=proc.frames[:-1] + (new_top,),
-        status=RUNNING,
-        children=(),
-    )
-    children = set(proc.children)
-    new_procs = tuple(
-        new_proc if p.pid == proc.pid else p
-        for p in config.procs
-        if p.pid not in children
-    )
-    new_cfg = Config(procs=new_procs, globals=config.globals, heap=config.heap)
+def _action(proc, instr, reads, writes, extra, share) -> ActionInfo:
+    """The record of *proc* executing *instr*.  It is a function of
+    ``(proc, reads, writes, extra)`` (the program fixes *instr* from
+    *proc*), so with *share* a repeated key returns the run's canonical
+    action without building one; a new one is canonicalised by value."""
+    if share is not None:
+        key = (proc, reads, writes, extra)
+        action = share.get(key)
+        if action is not None:
+            return action
+    label, kind = instr.label, type(instr).__name__
+    if proc.status == JOINING:
+        label, kind = (label + "$join") if label else "$join", "IJoin"
+    allocs, entered, exited = extra
     action = ActionInfo(
-        label=(instr.label + "$join") if instr.label else "$join",
-        kind="IJoin",
-        reads=tuple(proc_loc(c) for c in proc.children),
-        writes=(),
-        line=instr.line,
-        **base,
+        proc.pid, label, kind, reads, writes, proc.func_stack(),
+        len(proc.frames), allocs, entered, exited, proc.ps, instr.line,
     )
-    return new_cfg, action
+    if share is not None:
+        action = share[key] = share.setdefault(action, action)
+    return action
 
 
-def _dispatch(
-    program: Program,
-    config: Config,
-    proc: Process,
-    instr: Instr,
-    reads: list[Loc],
-    base: dict,
-    opts: StepOptions,
-) -> tuple[Config, ActionInfo]:
+def _successor(program, config, proc, instr, reads, opts, share):
+    """The successor's ``(procs, writes, globals, heap, extra)``: one new
+    process with one new top frame (a call pushes a second), plus the
+    children a cobegin spawns, each canonical in *share* when given.
+    Shared reads are appended to *reads* as they happen."""
     top = proc.top
-    func = top.func
-    code = program.funcs[func]
+    code = program.funcs[top.func]
     landing = code.landing
+    globals_, heap, procs = config.globals, config.heap, config.procs
+    writes: tuple[Loc, ...] = ()
+    extra = _NO_EXTRA
+    status, children, retval, ps = proc.status, proc.children, proc.retval, proc.ps
+    locals_ = top.locals
+    target = top.pc + 1  # unlanded index of the next instruction
+    frames = None  # set when more than the top frame's pc/locals change
+    spawned: list[Process] = []
 
-    def advance(pc: int, locals_: tuple[Value, ...] | None = None) -> Process:
-        new_top = replace(
-            top, pc=landing[pc], locals=top.locals if locals_ is None else locals_
-        )
-        return replace(proc, frames=proc.frames[:-1] + (new_top,))
+    if status == JOINING:
+        reads.extend(proc_loc(c) for c in children)
+        target = instr.join_target
+        procs = tuple([p for p in procs if p.pid not in children])
+        status, children = RUNNING, ()
 
-    def mk_action(writes: tuple[Loc, ...], **extra) -> ActionInfo:
-        return ActionInfo(
-            label=instr.label,
-            kind=type(instr).__name__,
-            reads=tuple(reads),
-            writes=writes,
-            line=instr.line,
-            **base,
-            **extra,
-        )
+    elif isinstance(instr, ISkip):
+        pass
 
-    def commit(
-        new_proc: Process,
-        writes: tuple[Loc, ...] = (),
-        globals_: tuple | None = None,
-        heap: tuple | None = None,
-        extra_procs: tuple[Process, ...] = (),
-        **extra,
-    ) -> tuple[Config, ActionInfo]:
-        procs = tuple(new_proc if p.pid == proc.pid else p for p in config.procs)
-        if extra_procs:
-            procs = tuple(sorted(procs + extra_procs, key=lambda p: p.pid))
-        cfg = Config(
-            procs=procs,
-            globals=config.globals if globals_ is None else globals_,
-            heap=config.heap if heap is None else heap,
-        )
-        return _finish(cfg, opts), mk_action(writes, **extra)
-
-    # ---------------- simple actions ----------------
-    if isinstance(instr, ISkip):
-        return commit(advance(top.pc + 1))
-
-    if isinstance(instr, IAssume):
-        v = eval_expr(instr.cond, config, top.locals, reads)
+    elif isinstance(instr, IAssume):
+        v = eval_expr(instr.cond, config, locals_, reads)
         assert truthy(v), "execute() on a disabled assume"
-        return commit(advance(top.pc + 1))
 
-    if isinstance(instr, IAssert):
-        v = eval_expr(instr.cond, config, top.locals, reads)
+    elif isinstance(instr, IAssert):
+        v = eval_expr(instr.cond, config, locals_, reads)
         if not truthy(v):
             raise RuntimeFault("assert-failed", f"assertion {instr.label!r} is false")
-        return commit(advance(top.pc + 1))
 
-    if isinstance(instr, IBranch):
-        v = eval_expr(instr.cond, config, top.locals, reads)
+    elif isinstance(instr, IBranch):
+        v = eval_expr(instr.cond, config, locals_, reads)
         target = instr.then_target if truthy(v) else instr.else_target
-        return commit(advance(target))
 
-    if isinstance(instr, IAcquire):
-        assert config.globals[instr.index] == 0, "execute() on a held lock"
-        new_globals = _set_tuple(config.globals, instr.index, 1)
+    elif isinstance(instr, IAcquire):
+        assert globals_[instr.index] == 0, "execute() on a held lock"
+        globals_ = _set_tuple(globals_, instr.index, 1)
         reads.append(glob_loc(instr.index))
-        return commit(
-            advance(top.pc + 1),
-            writes=(glob_loc(instr.index),),
-            globals_=new_globals,
-        )
+        writes = (glob_loc(instr.index),)
 
-    if isinstance(instr, IRelease):
-        new_globals = _set_tuple(config.globals, instr.index, 0)
-        return commit(
-            advance(top.pc + 1),
-            writes=(glob_loc(instr.index),),
-            globals_=new_globals,
-        )
+    elif isinstance(instr, IRelease):
+        globals_ = _set_tuple(globals_, instr.index, 0)
+        writes = (glob_loc(instr.index),)
 
     # ---------------- data actions ----------------
-    if isinstance(instr, IAssign):
-        value = eval_expr(instr.expr, config, top.locals, reads)
-        dest = eval_lvalue(instr.target, config, top.locals, reads)
-        return _store_to(
-            program, config, proc, dest, value, advance, commit, top
-        )
+    elif isinstance(instr, IAssign):
+        value = eval_expr(instr.expr, config, locals_, reads)
+        dest = eval_lvalue(instr.target, config, locals_, reads)
+        if dest[0] == "l":
+            locals_ = _set_tuple(locals_, dest[1], value)
+        else:
+            globals_, heap = _write_shared(config, dest, value)
+            writes = (dest,)
 
-    if isinstance(instr, IAlloc):
-        size = eval_expr(instr.size, config, top.locals, reads)
+    elif isinstance(instr, IAlloc):
+        size = eval_expr(instr.size, config, locals_, reads)
         if not isinstance(size, int) or size < 0:
             raise RuntimeFault("bad-alloc", f"malloc size {size!r}")
         oid = config.fresh_oid(instr.site)
         obj = HeapObj(
-            oid=oid,
-            cells=(0,) * size,
-            birth_pid=proc.pid,
-            birth_ps=proc.ps if opts.track_procstrings else (),
+            oid, (0,) * size, proc.pid, ps if opts.track_procstrings else ()
         )
-        new_heap = tuple(sorted(config.heap + (obj,), key=lambda o: o.oid))
-        dest = eval_lvalue(instr.target, config, top.locals, reads)
+        heap = tuple(sorted(heap + (obj,), key=_by_oid))
+        dest = eval_lvalue(instr.target, config, locals_, reads)
         value = Pointer(oid, 0)
         if dest[0] == "l":
-            new_locals = _set_tuple(top.locals, dest[1], value)
-            return commit(
-                advance(top.pc + 1, new_locals), heap=new_heap, allocs=(oid,)
-            )
-        new_globals, new_heap = _write_shared(config, dest, value, heap=new_heap)
-        return commit(
-            advance(top.pc + 1),
-            writes=(dest,),
-            globals_=new_globals,
-            heap=new_heap,
-            allocs=(oid,),
-        )
+            locals_ = _set_tuple(locals_, dest[1], value)
+        else:
+            globals_, heap = _write_shared(config, dest, value, heap=heap)
+            writes = (dest,)
+        extra = ((oid,), None, None)
 
     # ---------------- control transfers ----------------
-    if isinstance(instr, ICall):
-        callee = eval_expr(instr.callee, config, top.locals, reads)
+    elif isinstance(instr, ICall):
+        callee = eval_expr(instr.callee, config, locals_, reads)
         if not isinstance(callee, FuncRef):
             raise RuntimeFault("bad-call", f"calling non-function {callee!r}")
         fc = program.funcs.get(callee.name)
         if fc is None:  # pragma: no cover - RFunc values always name real funcs
             raise RuntimeFault("bad-call", f"no function {callee.name!r}")
-        args = [eval_expr(a, config, top.locals, reads) for a in instr.args]
+        args = [eval_expr(a, config, locals_, reads) for a in instr.args]
         if len(args) != fc.num_params:
             raise RuntimeFault(
                 "bad-call",
@@ -419,110 +376,81 @@ def _dispatch(
             )
         ret_loc = None
         if instr.target is not None:
-            ret_loc = eval_lvalue(instr.target, config, top.locals, reads)
-        # caller resumes past the call
-        caller_top = replace(top, pc=landing[top.pc + 1])
-        locals_ = tuple(args) + (0,) * (fc.num_locals - fc.num_params)
-        callee_frame = Frame(
-            func=callee.name,
-            pc=fc.landing[0],
-            locals=locals_,
-            ret_loc=ret_loc,
+            ret_loc = eval_lvalue(instr.target, config, locals_, reads)
+        # the caller resumes past the call
+        frames = proc.frames[:-1] + (
+            Frame(top.func, landing[target], locals_, top.ret_loc),
+            Frame(
+                callee.name,
+                fc.landing[0],
+                tuple(args) + (0,) * (fc.num_locals - fc.num_params),
+                ret_loc,
+            ),
         )
-        new_ps = proc.ps
         if opts.track_procstrings:
-            new_ps = PS.push(proc.ps, PS.enter_proc(callee.name, instr.label))
-        new_proc = replace(
-            proc, frames=proc.frames[:-1] + (caller_top, callee_frame), ps=new_ps
-        )
-        return commit(new_proc, entered=callee.name)
+            ps = PS.push(ps, PS.enter_proc(callee.name, instr.label))
+        extra = ((), callee.name, None)
 
-    if isinstance(instr, IReturn):
+    elif isinstance(instr, IReturn):
         value: Value = 0
         if instr.expr is not None:
-            value = eval_expr(instr.expr, config, top.locals, reads)
-        new_ps = proc.ps
-        if opts.track_procstrings and proc.ps and proc.ps[-1][0] == "+":
-            new_ps = proc.ps[:-1]
+            value = eval_expr(instr.expr, config, locals_, reads)
+        if opts.track_procstrings and ps and ps[-1][0] == "+":
+            ps = ps[:-1]
+        extra = ((), None, top.func)
         if len(proc.frames) == 1:
-            new_proc = replace(
-                proc, frames=(), status=DONE, retval=value, ps=new_ps
-            )
-            writes: tuple[Loc, ...] = ()
-            if proc.pid != (0,):  # pragma: no cover - only root runs plain returns
+            frames, status, retval = (), DONE, value
+            if proc.pid != ROOT_PID:  # pragma: no cover - only root runs plain returns
                 writes = (proc_loc(proc.pid),)
-            return commit(new_proc, writes=writes, exited=func)
-        ret_loc = top.ret_loc
-        caller = proc.frames[-2]
-        if ret_loc is None:
-            new_proc = replace(
-                proc, frames=proc.frames[:-2] + (caller,), ps=new_ps
-            )
-            return commit(new_proc, exited=func)
-        if ret_loc[0] == "l":
-            new_caller = replace(
-                caller, locals=_set_tuple(caller.locals, ret_loc[1], value)
-            )
-            new_proc = replace(
-                proc, frames=proc.frames[:-2] + (new_caller,), ps=new_ps
-            )
-            return commit(new_proc, exited=func)
-        new_globals, new_heap = _write_shared(config, ret_loc, value)
-        new_proc = replace(proc, frames=proc.frames[:-2] + (caller,), ps=new_ps)
-        return commit(
-            new_proc,
-            writes=(ret_loc,),
-            globals_=new_globals,
-            heap=new_heap,
-            exited=func,
-        )
+        else:
+            ret_loc = top.ret_loc
+            caller = proc.frames[-2]
+            if ret_loc is None:
+                pass
+            elif ret_loc[0] == "l":
+                caller = Frame(
+                    caller.func,
+                    caller.pc,
+                    _set_tuple(caller.locals, ret_loc[1], value),
+                    caller.ret_loc,
+                )
+            else:
+                globals_, heap = _write_shared(config, ret_loc, value)
+                writes = (ret_loc,)
+            frames = proc.frames[:-2] + (caller,)
 
-    if isinstance(instr, ICobegin):
-        children: list[Process] = []
-        writes: list[Loc] = []
+    elif isinstance(instr, ICobegin):
         for i, bt in enumerate(instr.branch_targets):
-            cpid = proc.pid + (i,)
             cps: PS.ProcString = ()
             if opts.track_procstrings:
-                cps = PS.push(proc.ps, PS.enter_thread(i, instr.label))
-            children.append(
-                Process(
-                    pid=cpid,
-                    frames=(
-                        Frame(
-                            func=func,
-                            pc=landing[bt],
-                            locals=(0,) * code.num_locals,
-                            ret_loc=None,
-                        ),
-                    ),
-                    status=RUNNING,
-                    ps=cps,
-                )
-            )
-            writes.append(proc_loc(cpid))
-        new_proc = replace(
-            proc,
-            status=JOINING,
-            children=tuple(c.pid for c in children),
+                cps = PS.push(ps, PS.enter_thread(i, instr.label))
+            frame = Frame(top.func, landing[bt], (0,) * code.num_locals, None)
+            spawned.append(Process(proc.pid + (i,), (frame,), RUNNING, ps=cps))
+        frames, status = proc.frames, JOINING
+        children = tuple(c.pid for c in spawned)
+        writes = tuple(proc_loc(c) for c in children)
+
+    elif isinstance(instr, IThreadEnd):
+        frames, status, retval = (), DONE, None
+        writes = (proc_loc(proc.pid),)
+
+    else:
+        raise RuntimeFault("bad-instr", f"unknown instruction {type(instr).__name__}")
+
+    if frames is None:
+        frames = proc.frames[:-1] + (
+            Frame(top.func, landing[target], locals_, top.ret_loc),
         )
-        return commit(new_proc, writes=tuple(writes), extra_procs=tuple(children))
-
-    if isinstance(instr, IThreadEnd):
-        new_proc = replace(proc, frames=(), status=DONE, retval=None)
-        return commit(new_proc, writes=(proc_loc(proc.pid),))
-
-    raise RuntimeFault("bad-instr", f"unknown instruction {type(instr).__name__}")
-
-
-def _store_to(program, config, proc, dest, value, advance, commit, top):
-    if dest[0] == "l":
-        new_locals = _set_tuple(top.locals, dest[1], value)
-        return commit(advance(top.pc + 1, new_locals))
-    new_globals, new_heap = _write_shared(config, dest, value)
-    return commit(
-        advance(top.pc + 1), writes=(dest,), globals_=new_globals, heap=new_heap
-    )
+    new = Process(proc.pid, frames, status, proc.join_pc, children, retval, ps)
+    if share is not None:
+        new = share.setdefault(new, new)
+    pid = proc.pid
+    procs = tuple([new if p.pid == pid else p for p in procs])
+    if spawned:
+        if share is not None:
+            spawned = [share.setdefault(c, c) for c in spawned]
+        procs = tuple(sorted(procs + tuple(spawned), key=_by_pid))
+    return procs, writes, globals_, heap, extra
 
 
 def _write_shared(
@@ -538,7 +466,8 @@ def _write_shared(
     found = False
     for obj in the_heap:
         if obj.oid == oid:
-            new_heap.append(replace(obj, cells=_set_tuple(obj.cells, off, value)))
+            cells = _set_tuple(obj.cells, off, value)
+            new_heap.append(HeapObj(oid, cells, obj.birth_pid, obj.birth_ps))
             found = True
         else:
             new_heap.append(obj)

@@ -1,5 +1,7 @@
 """MetricsObserver ↔ engine integration: the deep instrumentation."""
 
+import pytest
+
 from repro.explore import ExploreOptions, explore
 from repro.explore.explorer import PEAK_RSS
 from repro.metrics import MetricsObserver, MetricsRegistry, attached_registry
@@ -131,3 +133,19 @@ def test_results_identical_with_and_without_metrics():
     assert plain.final_stores() == instrumented.final_stores()
     assert plain.stats.num_configs == instrumented.stats.num_configs
     assert plain.stats.num_edges == instrumented.stats.num_edges
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_every_attached_metrics_observer_gets_the_run(jobs):
+    """A run publishes its registry into each attached MetricsObserver,
+    not only the first, on both backends."""
+    first, second = MetricsObserver(), MetricsObserver()
+    opts = ExploreOptions(
+        policy="stubborn", coarsen=True, jobs=jobs,
+        backend="parallel" if jobs > 1 else "serial",
+    )
+    r = explore(philosophers(3), options=opts, observers=(first, second))
+    snap = first.snapshot()
+    assert snap["explore.expansions"]["value"] == r.stats.expansions > 0
+    assert snap["graph.configs"]["value"] == r.stats.num_configs
+    assert second.snapshot() == snap
