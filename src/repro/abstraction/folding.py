@@ -212,6 +212,10 @@ def fold_explore(
     that actually grows a table entry is one ``fold.join`` span (with a
     ``widen`` flag), so a Perfetto timeline shows where the fixpoint
     spends its ascending chain.
+
+    With a registry as *metrics*, each successor counts as a
+    ``fold.hits`` or ``fold.misses``, and a completed run adds its
+    ``stats.widenings`` as ``fold.widenings``.
     """
     init = initial_abs_config(program, opts.dom)
     ikey = key_fn(init)
@@ -253,8 +257,6 @@ def fold_explore(
                     widen = updates[k2] > widen_after
                     if widen:
                         stats.widenings += 1
-                        if metrics is not None:
-                            metrics.inc("fold.widenings")
                     span = (
                         tracer.begin_span("fold.join", widen=widen)
                         if tracer is not None
@@ -272,6 +274,8 @@ def fold_explore(
 
     stats.num_states = len(table)
     stats.num_edges = len(edges)
+    if metrics is not None and stats.widenings:
+        metrics.inc("fold.widenings", stats.widenings)
     return FoldResult(
         program=program,
         options=opts,

@@ -61,8 +61,11 @@ locations keyed by their static projection (``("g", i)`` stays,
 a heap cell becomes its ``("site", s)``, ``("p", pid)`` drops out).
 :func:`~repro.analyses.accesses.matches` reads nothing else, so the
 projection yields exactly the same hits, and the memo is bounded by
-the program's static size.  A future element's control predecessors
-depend on the universe key alone and are memoised on the universe.
+the program's static size.  Each memo row also keeps, per (universe,
+process), its hits already tagged as that process's ``(pid, func,
+pc)`` elements, so a memoised scan costs one lookup and no new tuples.
+A future element's control predecessors depend on the universe key
+alone; they are memoised on the universe per element, tagged likewise.
 Within one selection, what each element requires is the same for every
 seed, so the seeds' closures share it.  Every exploration (and every
 parallel worker) builds its own selector, so no memo crosses runs or
@@ -92,8 +95,9 @@ class Universe(frozenset):
     per frame; ``model`` (built on the first scan, see
     :meth:`AlgorithmOneSelector._model`) lists ``(func, pc, reads,
     writes)`` per element, with the pending return writes folded into
-    ``writes``; ``enablers`` memoises each future element's control
-    predecessors (a function of the universe key alone).
+    ``writes``; ``enablers`` memoises each future ``(pid, func, pc)``
+    element's control predecessors (a function of the universe key
+    alone), as elements of the same process.
     """
 
     __slots__ = ("uid", "frames", "model", "enablers")
@@ -124,9 +128,10 @@ class AlgorithmOneSelector:
     metrics: object | None = field(default=None, repr=False, compare=False)
     #: (status, frame projections) -> Universe
     _universes: dict = field(default_factory=dict, init=False, repr=False)
-    #: (static reads, static writes) -> {uid: hit (func, pc) elements}
+    #: (static reads, static writes) -> {uid: hit (func, pc) elements,
+    #: (uid, pid): the same hits as (pid, func, pc) elements}
     _d2: dict = field(default_factory=dict, init=False, repr=False)
-    #: static nes -> {uid: hit (func, pc) elements}
+    #: static nes -> the same row layout as ``_d2``
     _d1: dict = field(default_factory=dict, init=False, repr=False)
 
     _record = StubbornSelector._record
@@ -264,14 +269,15 @@ class AlgorithmOneSelector:
         pid, f, pc = el
         exp = by_pid[pid]
         if (f, pc) != cur[pid]:
-            return self._control_enablers(pid, f, pc, exp.proc.frames, universes)
+            return self._control_enablers(el, exp.proc.frames, universes)
         if exp.enabled:
             return self._dependents(exp, universes)
         return self._guard_enablers(exp, universes)
 
     def _scanned(self, memo, key, pid, universes, scan) -> list[Element]:
         """The hits of ``scan(universe)`` over every other process's
-        universe, memoised per (*key*, universe)."""
+        universe, memoised per (*key*, universe) and tagged per
+        (*key*, universe, process)."""
         row = memo.get(key)
         if row is None:
             row = memo[key] = {}
@@ -280,11 +286,16 @@ class AlgorithmOneSelector:
         for other, uni in universes.items():
             if other == pid:
                 continue
-            hits = row.get(uni.uid)
-            if hits is None:
-                hits = row[uni.uid] = scan(uni)
-                fresh += 1
-            out.extend((other, f2, pc2) for f2, pc2 in hits)
+            tagged = row.get((uni.uid, other))
+            if tagged is None:
+                hits = row.get(uni.uid)
+                if hits is None:
+                    hits = row[uni.uid] = scan(uni)
+                    fresh += 1
+                tagged = row[(uni.uid, other)] = tuple(
+                    [(other, f2, pc2) for f2, pc2 in hits]
+                )
+            out += tagged
         m = self.metrics
         if m is not None:
             m.inc("algorithm1.scans", fresh)
@@ -349,14 +360,16 @@ class AlgorithmOneSelector:
 
     # -- D1: future elements (control chain) ----------------------------
 
-    def _control_enablers(self, pid, f, pc, frames, universes) -> list[Element]:
+    def _control_enablers(self, el, frames, universes) -> tuple:
+        pid, f, pc = el
         uni = universes[pid]
-        enablers = uni.enablers.get((f, pc))
+        enablers = uni.enablers.get(el)
         if enablers is None:
-            enablers = uni.enablers[(f, pc)] = self._scan_control(
-                uni, frames, f, pc
-            )
-        return [(pid, f2, pc2) for f2, pc2 in enablers]
+            enablers = uni.enablers[el] = tuple([
+                (pid, f2, pc2)
+                for f2, pc2 in self._scan_control(uni, frames, f, pc)
+            ])
+        return enablers
 
     def _scan_control(self, uni, frames, f, pc) -> tuple:
         """Control predecessors of the future element ``(f, pc)``: the

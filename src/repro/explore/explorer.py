@@ -503,7 +503,8 @@ def explore(
             children: list[tuple[int, bool, Expansion]] = []
             for exp in frontier.awake(chosen):
                 succ = exp.succ
-                assert succ is not None
+                if succ is None:
+                    succ = cache.replay(exp.entry, exp.proc, config)
                 dst, fresh = graph.add_config(succ)
                 if frontier.new_edge(cid, dst, exp):
                     graph.add_edge(cid, dst, exp.actions)

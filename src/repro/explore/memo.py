@@ -19,10 +19,14 @@ memoizes per-process expansion outcomes keyed on the (interned)
   values against the current state (O(footprint) dictionary lookups);
   every value equal ⇒ the deterministic interpreter would take the
   identical steps, so the cached outcome is valid;
-- a **hit** *replays* the cached delta — replace the acting process,
-  apply the recorded shared writes, add/remove spawned/joined
-  processes, then one final garbage collection — instead of
-  re-interpreting the block;
+- a **hit** yields the cached enabledness, ``nes``, actions and
+  read/write sets at once, which is all the stubborn-set selector and
+  the sleep sets read; its successor is *replayed* (replace the acting
+  process, apply the recorded shared writes, add/remove spawned/joined
+  processes, then one final garbage collection) only if the driver
+  keeps the transition (:meth:`ExpandCache.replay`), instead of
+  re-interpreting the block — the paper expands only the transitions
+  of the chosen stubborn set, and so does the memo;
 - a **miss** computes the expansion the ordinary way while recording
   its footprint, then fills the cache.
 
@@ -131,7 +135,7 @@ class ExpandCache:
     __slots__ = (
         "max_procs", "max_entries_per_proc", "_entries",
         "hits", "misses", "invalidations", "evictions", "uncacheable",
-        "size",
+        "replays", "size",
     )
 
     def __init__(
@@ -150,6 +154,9 @@ class ExpandCache:
         self.invalidations = 0
         self.evictions = 0
         self.uncacheable = 0
+        #: enabled hits materialised into successors (:meth:`replay`):
+        #: the kept transitions among the hits
+        self.replays = 0
         self.size = 0
 
     # ------------------------------------------------------------------
@@ -178,17 +185,12 @@ class ExpandCache:
         self.invalidations += 1
         return None
 
-    def replay(self, entry: _Entry, proc: Process, config: Config) -> Expansion:
-        """Materialize the cached outcome at *config* (a footprint
-        match): swap the acting process, apply the recorded deltas, then
-        collect garbage exactly when the interpreter would have."""
-        if not entry.enabled:
-            return Expansion(
-                proc=proc,
-                enabled=False,
-                nes=entry.nes,
-                blocked_children=entry.blocked_children,
-            )
+    def replay(self, entry: _Entry, proc: Process, config: Config) -> Config:
+        """The successor of *proc*'s enabled hit *entry* at *config* (a
+        footprint match): swap the acting process, apply the recorded
+        deltas, then collect garbage exactly when the interpreter would
+        have.  Called only for the transitions a driver keeps."""
+        self.replays += 1
         pid = proc.pid
         removed = entry.removed_pids
         procs = []
@@ -231,15 +233,8 @@ class ExpandCache:
             heap = tuple(new_heap)
         succ = Config(procs=tuple(procs), globals=globals_, heap=heap)
         if entry.gc:
-            succ = collect_garbage(succ)
-        return Expansion(
-            proc=proc,
-            enabled=True,
-            succ=succ,
-            actions=entry.actions,
-            reads=entry.reads,
-            writes=entry.writes,
-        )
+            return collect_garbage(succ)
+        return succ
 
     # ------------------------------------------------------------------
     # fill
@@ -413,6 +408,7 @@ class ExpandCache:
             "expand.invalidations": self.invalidations,
             "expand.cache_evictions": self.evictions,
             "expand.cache_uncacheable": self.uncacheable,
+            "expand.replays": self.replays,
         }
 
 
@@ -430,12 +426,15 @@ def expand(
     the one expansion loop of every driver.  *share* is the run's share
     table, handed to every :func:`~repro.semantics.step.execute`.
 
-    With *cache*, each process is probed first: a hit replays the cached
-    outcome, a miss computes it while recording its footprint and fills
+    With *cache*, each process is probed first: a hit returns the cached
+    outcome with its successor deferred (``succ`` None, ``entry`` set;
+    the driver calls :meth:`ExpandCache.replay` for the transitions it
+    keeps), a miss computes it while recording its footprint and fills
     the cache.  Without one, probe and fill are skipped and no footprint
     is recorded, so the interpreter does only the uncached work.  Both
-    produce identical :class:`Expansion` lists (the cache-on/off
-    differential suite's contract).
+    produce the same :class:`Expansion` lists up to the deferred
+    successors, and the same graphs (the cache-on/off differential
+    suite's contract).
 
     Telemetry stays *logical*: a coarsened cache hit re-emits the
     ``coarsen.block_len`` observation and the ``coarsen.fuse`` span its
@@ -452,7 +451,15 @@ def expand(
         if cache is not None:
             entry = cache.probe(config, proc)
             if entry is not None:
-                if entry.enabled and coarsen:
+                if not entry.enabled:
+                    out.append(Expansion(
+                        proc=proc,
+                        enabled=False,
+                        nes=entry.nes,
+                        blocked_children=entry.blocked_children,
+                    ))
+                    continue
+                if coarsen:
                     if metrics is not None:
                         metrics.observe("coarsen.block_len", entry.block_len)
                     if tracer is not None:
@@ -460,7 +467,16 @@ def expand(
                         tracer.end_span(
                             span, len=entry.block_len, critical=entry.block_crit
                         )
-                out.append(cache.replay(entry, proc, config))
+                # the successor waits for selection: ``cache.replay``
+                # builds it only if this transition is kept
+                out.append(Expansion(
+                    proc=proc,
+                    enabled=True,
+                    actions=entry.actions,
+                    reads=entry.reads,
+                    writes=entry.writes,
+                    entry=entry,
+                ))
                 continue
             footprint = []
         enabled, nes, blocked = enabledness(

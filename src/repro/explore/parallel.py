@@ -524,7 +524,8 @@ class _Worker:
                 )
                 for exp in chosen:
                     succ = exp.succ
-                    assert succ is not None
+                    if succ is None:
+                        succ = self.cache.replay(exp.entry, exp.proc, config)
                     # edges carry action *handles*: each ActionInfo
                     # crosses the interconnect once, ever (memoized
                     # expansions replay identical objects, so the

@@ -67,7 +67,10 @@ from repro.metrics.registry import (
 #: ``/8`` adds ``step.shared_objects`` (counter): the entries of the
 #: run's share table (:mod:`repro.semantics.step`) when it ends —
 #: processes, actions and action keys; summed over workers.
-SCHEMA_VERSION = "repro.metrics/8"
+#: ``/9`` adds ``expand.replays`` (counter): memo successors built, one
+#: per kept transition whose expansion the memo answered;
+#: ``expand.cache_hits`` counts every probe it answered (worker-local).
+SCHEMA_VERSION = "repro.metrics/9"
 
 __all__ = [
     "Counter",

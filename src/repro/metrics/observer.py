@@ -35,7 +35,8 @@ name                                    type       meaning
 ``algorithm1.scan_hits``                counter    D1/D2 scans served memoised
 ``coarsen.block_len``                   histogram  fused-block lengths
 ``step.shared_objects``                 counter    share-table entries at run end
-``expand.cache_hits``                   counter    memoized expansions replayed
+``expand.cache_hits``                   counter    expansions answered by the memo
+``expand.replays``                      counter    memo successors built (kept)
 ``expand.cache_misses``                 counter    expansions computed fresh
 ``expand.invalidations``                counter    footprint mismatches (stale)
 ``expand.cache_evictions``              counter    memo entries evicted (bound)

@@ -20,10 +20,10 @@ degradation in partial-order BMC (Alglave et al.).
 The escalation trail is recorded three ways: in the returned
 :class:`ResilientResult`, in ``ExploreStats.escalations`` of the final
 result, and in the metrics registry (counter
-``resilience.escalations``, gauge ``resilience.final_rung``) when a
-:class:`~repro.metrics.MetricsObserver` is attached — results always
-say *which* rung produced them and why.  The rungs share that observer,
-so its registry accumulates every rung's counts, while each rung's
+``resilience.escalations``, gauge ``resilience.final_rung``) of every
+attached :class:`~repro.metrics.MetricsObserver` — results always say
+*which* rung produced them and why.  The rungs share the observers, so
+each registry accumulates every rung's counts, while each rung's
 ``ExploreStats`` covers that rung only.
 
 ``explore_resilient`` never raises: even an engine bug mid-rung (see
@@ -40,11 +40,13 @@ from repro.explore.explorer import (
     ExploreOptions,
     ExploreResult,
     ExploreStats,
+    _publish,
     explore,
 )
 from repro.explore.graph import ConfigGraph
-from repro.explore.observers import attached
+from repro.explore.observers import attached, attached_all
 from repro.lang.program import Program
+from repro.metrics.registry import MetricsRegistry
 from repro.semantics.step import StepOptions
 
 LOG = logging.getLogger("repro.resilience")
@@ -183,7 +185,11 @@ def explore_resilient(
                 f"unknown ladder rung {start!r}; known: {', '.join(names)}"
             )
         rungs = rungs[names.index(start):]
-    metrics = attached(observers, "registry")
+    # the ladder's own series (``resilience.*``, and ``fold.*`` from the
+    # abstract rung) count into one registry, published into every
+    # attached one on return, as each rung's exploration publishes its
+    registries = attached_all(observers, "registry")
+    metrics = MetricsRegistry() if registries else None
     # escalations become trace events; the current rung rides every
     # progress frame, and rung transitions become ``ladder`` frames
     tracer = attached(observers, "tracer")
@@ -224,6 +230,7 @@ def explore_resilient(
                 )
                 if metrics is not None:
                     metrics.set_gauge("resilience.final_rung", i)
+                    _publish(metrics, registries)
                 if tracer is not None:
                     tracer.event(
                         "resilience.answered", rung=rung.name, exact=True
@@ -286,6 +293,7 @@ def explore_resilient(
     last.stats.escalations = tuple(e.describe() for e in escalations)
     if metrics is not None:
         metrics.set_gauge("resilience.final_rung", len(rungs) - 1)
+        _publish(metrics, registries)
     if tracer is not None:
         tracer.event("resilience.answered", rung=final_rung, exact=False)
     return ResilientResult(

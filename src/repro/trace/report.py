@@ -315,7 +315,8 @@ def _cache_section(metrics: dict | None) -> str:
     rows = []
     for name, label in (
         ("expand.cache_hit_rate", "expansion cache hit rate"),
-        ("expand.cache_hits", "expansions replayed from cache"),
+        ("expand.cache_hits", "expansions answered from cache"),
+        ("expand.replays", "cached successors replayed"),
         ("expand.cache_misses", "expansions computed fresh"),
         ("expand.invalidations", "footprint invalidations"),
         ("expand.cache_evictions", "cache evictions"),

@@ -142,6 +142,23 @@ def test_fold_metrics_hit_counts():
     assert "fold.widenings" not in reg
 
 
+def test_fold_metrics_widenings_from_stats():
+    from repro.metrics import MetricsRegistry
+
+    prog = parse_program(
+        "var g = 0; func main() { while (true) { g = g + 1; } }"
+    )
+    reg = MetricsRegistry()
+    res = fold_explore(
+        prog,
+        AbsOptions(dom=AbsValueDomain(IntervalDomain())),
+        key_fn=taylor_key,
+        metrics=reg,
+    )
+    assert res.stats.widenings > 0
+    assert reg.counter("fold.widenings").value == res.stats.widenings
+
+
 def test_fold_metrics_default_off():
     prog = fig3_folding()
     res = fold_explore(

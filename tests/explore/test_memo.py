@@ -184,10 +184,57 @@ def test_footprint_invalidation_is_targeted():
         )
         if e.proc.pid == y_reader.proc.pid
     ]
-    assert replayed.succ == fresh.succ
-    assert replayed.actions == fresh.actions
-    assert replayed.reads == fresh.reads
-    assert replayed.writes == fresh.writes
+    assert replayed == fresh.succ
+    assert entry.actions == fresh.actions
+    assert entry.reads == fresh.reads
+    assert entry.writes == fresh.writes
+
+
+def test_enabled_hit_defers_its_successor():
+    """An enabled hit comes back without a successor; ``replay`` builds
+    it on demand, equal to the memo-off one."""
+    prog = parse_program(_THREE_THREADS)
+    access = access_analysis(prog)
+    opts = ExploreOptions(policy="full", memo=True)
+    cache = ExpandCache()
+
+    [cobegin] = _expand_memo(prog, initial_config(prog), access, opts, cache)
+    forked = cobegin.succ
+    first = _expand_memo(prog, forked, access, opts, cache)
+    assert all(e.succ is not None for e in first if e.enabled)  # misses
+    hits = _expand_memo(prog, forked, access, opts, cache)
+    fresh = expand(
+        prog, forked, access, ExploreOptions(policy="full", memo=False)
+    )
+    assert [e.proc for e in hits] == [e.proc for e in fresh]
+    enabled = [(h, f) for h, f in zip(hits, fresh) if h.enabled]
+    assert len(enabled) == 3
+    assert cache.replays == 0
+    for hit, off in enabled:
+        assert hit.succ is None and hit.entry is not None
+        assert cache.replay(hit.entry, hit.proc, forked) == off.succ
+        assert (hit.actions, hit.reads, hit.writes) == (
+            off.actions, off.reads, off.writes
+        )
+    assert cache.replays == 3
+    assert cache.counters()["expand.replays"] == 3
+
+
+def test_replays_at_most_edges():
+    """Only kept transitions are replayed: every memo successor built
+    becomes an edge, so ``expand.replays`` never exceeds the edges."""
+    from repro.metrics import MetricsObserver
+    from repro.programs.philosophers import philosophers
+
+    mo = MetricsObserver()
+    explore(
+        philosophers(5),
+        options=ExploreOptions(policy="stubborn", coarsen=True, memo=True),
+        observers=(mo,),
+    )
+    reg = mo.registry
+    replays, hits = reg.value("expand.replays"), reg.value("expand.cache_hits")
+    assert 0 < replays <= reg.value("graph.edges") < hits
 
 
 def test_disabled_expansion_is_memoized():

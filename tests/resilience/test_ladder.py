@@ -153,3 +153,21 @@ def test_ladder_without_fold_returns_deepest_attempt():
     assert rr.rung == "stubborn"
     assert rr.trail == ("full->stubborn: configs",)
     assert rr.result.stats.truncated
+
+
+def test_every_attached_registry_sees_the_ladder():
+    """The ladder's own series (``resilience.*``, and ``fold.*`` from
+    the abstract rung) reach every attached registry, like the rungs'
+    exploration series."""
+    a, b = MetricsObserver(), MetricsObserver()
+    rr = explore_resilient(
+        philosophers(3), budgets=Budgets(max_configs=30), observers=(a, b)
+    )
+    assert rr.fold is not None  # answered by the abstract rung
+    snap = a.snapshot()
+    for name in (
+        "resilience.escalations", "resilience.final_rung",
+        "fold.hits", "fold.misses",
+    ):
+        assert name in snap
+    assert snap == b.snapshot()
