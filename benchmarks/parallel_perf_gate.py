@@ -1,8 +1,8 @@
-"""CI perf gate for the work-stealing parallel backend.
+"""CI perf gate for the parallel backend.
 
 Times philosophers(6) under ``stubborn+coarsen`` serially and at
 ``--jobs 2`` (best of five, wall-clock).  The pool has a fixed startup
-cost — fork, shared-memory segments, queues — that dominates a
+cost — fork, shared-memory segments, pipes — that dominates a
 sub-second workload, so the gate first measures that floor on a trivial
 program (mutex_counter at jobs=2 finishes in a handful of expansions)
 and judges the *marginal* cost of the real workload:
@@ -13,20 +13,19 @@ and judges the *marginal* cost of the real workload:
   worst match — the serial driver, ``net <= serial * 1.15`` (the pad
   absorbs shared-runner noise);
 * single core: a speedup is physically impossible, so the gate bounds
-  overhead instead, ``net <= serial * 2.0``.  The digest-first
-  interconnect brought the work-stealing backend to ~1.4-1.9x net on
-  one contended core, so this catches a gross regression (a backend
-  change that doubles per-task messaging) while tolerating noisy
-  containers.
+  overhead instead, ``net <= serial * 2.0``.  The master runs the
+  serial loop and the workers only expand, so on one core the backend
+  adds the workers' cold caches, the transport and one round trip per
+  BFS level; this catches a gross regression (a change that doubles
+  per-configuration messaging) while tolerating noisy containers.
 
 The gate also bounds the interconnect itself: the parallel run's
 ``msg_bytes / configs`` must stay under ``MSG_BYTES_PER_CONFIG``.
 Byte volume is hardware-independent — unlike wall-clock it cannot be
 excused by a slow runner — and it is the first thing to bloat when a
-transport change stops deduplicating components or starts re-shipping
-digests.  The digest-first ledger measures ~100 B/config on
-philosophers(6) @j2; the 122 bound is half the 244 B/config the
-whole-config encoding cost before it.
+transport change stops deduplicating components or stops encoding
+successors against their parents.  The 122 bound is half the 244
+B/config the whole-config encoding cost before the component ledger.
 
 Both runs must also explore the identical graph — a perf gate that
 passes by exploring less is lying.

@@ -297,7 +297,7 @@ def _interconnect(s) -> dict | None:
     if s.backend != "parallel":
         return None
     return {
-        "msgs": s.cand_msgs,
+        "msgs": s.batches,
         "msg_bytes": s.msg_bytes,
         "cand_suppressed": s.cand_suppressed,
         "merge_overlap_s": round(s.merge_overlap_s, 6),

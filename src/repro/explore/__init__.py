@@ -1,9 +1,9 @@
 """State-space exploration: full interleaving, stubborn sets, coarsening.
 
 Two backends share one result contract: the serial BFS/DFS drivers in
-:mod:`repro.explore.explorer` and the multiprocessing frontier-sharding
-driver in :mod:`repro.explore.parallel`
-(``ExploreOptions(backend="parallel", jobs=N)``).
+:mod:`repro.explore.explorer` and the same BFS loop with expansion in
+worker processes, :mod:`repro.explore.parallel`
+(``ExploreOptions(backend="parallel", jobs=N)``), imported on first use.
 
 Resilient entry points (degradation ladder, checkpoint/resume, fault
 isolation) live in :mod:`repro.resilience`."""
@@ -17,7 +17,6 @@ from repro.explore.explorer import (
     explore,
 )
 from repro.explore.memo import ExpandCache, expand
-from repro.explore.parallel import explore_parallel
 from repro.explore.graph import DEADLOCK, FAULT, TERMINATED, ConfigGraph, Edge
 from repro.explore.observers import (
     Observer,
@@ -47,3 +46,12 @@ __all__ = [
     "explore",
     "explore_parallel",
 ]
+
+
+def __getattr__(name):
+    # the parallel backend (and multiprocessing) loads only when used
+    if name == "explore_parallel":
+        from repro.explore.parallel import explore_parallel
+
+        return explore_parallel
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -91,8 +91,8 @@ class ExploreOptions:
     policy: str = "full"  # "full" | "stubborn" | "stubborn-proc"
     coarsen: bool = False
     sleep: bool = False
-    #: "serial" (single-process BFS/DFS) or "parallel" (multiprocessing
-    #: frontier sharding, see :mod:`repro.explore.parallel`)
+    #: "serial" (single-process BFS/DFS) or "parallel" (the same BFS
+    #: with expansion in worker processes, see :mod:`repro.explore.parallel`)
     backend: str = "serial"
     #: worker-process count for ``backend="parallel"``
     jobs: int = 1
@@ -114,8 +114,8 @@ class ExploreOptions:
     #: result digests are bit-identical with it off — so it is not part
     #: of ``describe()``/``resume_key()``
     memo: bool = True
-    #: parallel backend: seconds without any worker progress before the
-    #: master declares the pool dead/wedged and retries the run (an
+    #: parallel backend: seconds without any worker reply before the
+    #: master declares the pool dead/wedged and restarts it (an
     #: operational knob like the budgets — not part of ``resume_key()``)
     parallel_watchdog_s: float = 30.0
 
@@ -178,39 +178,40 @@ class ExploreStats:
     backend: str = "serial"
     #: the requested worker-process count (1 for the serial backend)
     jobs: int = 1
-    #: successor candidates routed to a *different* worker's shard
-    #: (parallel backend only — the cross-worker communication volume;
-    #: scheduling-dependent, unlike the graph itself)
+    #: configurations shipped to a worker in full rather than by a
+    #: reference to the worker that produced them (parallel backend
+    #: only: the cost of the affinity misses)
     handoffs: int = 0
-    #: work-stealing transfers between workers (parallel backend only;
-    #: scheduling-dependent)
+    #: kept for report compatibility; the parallel backend has no work
+    #: stealing since its master runs the queue, so it reads 0
     steals: int = 0
-    #: whole-run retries after a worker died or wedged (parallel only)
+    #: pool restarts after a worker died or wedged (parallel only)
     worker_restarts: int = 0
-    #: tasks executed per worker, stealing included (parallel backend;
-    #: scheduling-dependent, sums to ``expansions`` minus terminals)
+    #: configurations each worker expanded (parallel backend; terminal
+    #: configurations are classified by the master, so a complete run's
+    #: sum is ``expansions`` minus the terminated and faulted ones)
     worker_expansions: tuple[int, ...] = ()
-    #: per-shard visited-set sizes at the end of the run
+    #: per-worker load: equal to ``worker_expansions``, so that
+    #: ``shard_balance`` reads how evenly the levels were split
     shard_sizes: tuple[int, ...] = ()
-    #: interconnect bytes shipped over the worker queues (candidate
-    #: batches, steal transfers, graph fragments, and dumps; parallel
-    #: backend only — scheduling-dependent, like ``steals``)
+    #: interconnect bytes over the worker pipes, both directions
+    #: (batches, replies and dumps; parallel backend only)
     msg_bytes: int = 0
-    #: candidate batch messages sent between workers (parallel only)
+    #: batch messages the master sent: at most one per worker per BFS
+    #: level (parallel backend only)
+    batches: int = 0
+    #: kept for report compatibility; read 0 since the master inserts
+    #: each reply in queue order (no candidate messages, no merge)
     cand_msgs: int = 0
-    #: candidates suppressed at the source by the per-destination
-    #: seen-digest cache instead of being shipped (parallel only)
     cand_suppressed: int = 0
-    #: canonical-merge seconds overlapped with workers still draining
     merge_overlap_s: float = 0.0
-    #: canonical-merge seconds after the last worker joined
     merge_tail_s: float = 0.0
     stubborn: StubbornStats | None = None
 
     @property
     def shard_balance(self) -> float | None:
-        """Largest shard over the mean shard size (1.0 = perfectly
-        balanced hash partition); None for serial runs."""
+        """Largest worker load over the mean (1.0 = perfectly balanced);
+        None for serial runs."""
         if not self.shard_sizes or sum(self.shard_sizes) == 0:
             return None
         mean = sum(self.shard_sizes) / len(self.shard_sizes)
@@ -231,6 +232,7 @@ STATS_SERIES = {
     "handoffs": "parallel.handoffs",
     "steals": "parallel.steals",
     "msg_bytes": "parallel.msg_bytes",
+    "batches": "parallel.batches",
     "cand_msgs": "parallel.cand_msgs",
     "cand_suppressed": "parallel.cand_suppressed",
 }
@@ -329,8 +331,8 @@ def explore(
     with a caller-owned (possibly pre-warmed) instance — the analysis
     service's warm-start hook.  The caller keeps the reference, so it
     can export the filled cache afterwards.  Ignored when
-    ``opts.memo`` is off; the parallel BFS keeps its own per-shard
-    caches and ignores it too.
+    ``opts.memo`` is off, and by the parallel backend, whose workers
+    expand with memo caches of their own.
 
     One serial loop drives every run that stays in this process; only
     the frontier discipline differs.  Without sleep sets it is a FIFO
@@ -339,7 +341,9 @@ def explore(
     stack of ``(cid, sleep set)`` (:class:`_SleepStack`, snapshot
     ``driver="sleep"``) whatever the backend; its stats still name the
     requested ``backend``/``jobs``.  ``backend="parallel"`` without
-    sleep sets goes to :func:`repro.explore.parallel.explore_parallel`.
+    sleep sets goes to :func:`repro.explore.parallel.explore_parallel`,
+    which runs the same FIFO loop with expansion and selection done in
+    worker processes.
 
     ``max_configs`` is checked once per fresh configuration: the run
     truncates right after inserting the one that takes the graph past
@@ -370,8 +374,31 @@ def explore(
             resume_from=resume_from,
         )
 
+    cache = None
+    if opts.memo:
+        cache = expand_cache if expand_cache is not None else ExpandCache()
+    return _search(program, opts, observers, checkpointer, resume_from, cache)
+
+
+def _search(
+    program, opts, observers, checkpointer, resume_from, cache=None,
+    remote=None,
+) -> ExploreResult:
+    """The serial loop: pop a configuration, expand it, select, insert
+    the kept successors, in frontier order.
+
+    With *remote* (the parallel backend's dispatcher, see
+    :mod:`repro.explore.parallel`) the loop stays in this process and
+    only expansion and selection move out: ``remote.kept(cid)`` answers
+    what ``_expand_guarded`` and ``_select_guarded`` would have, so the
+    graph, its ids, truncation and snapshots are the serial ones.
+    """
+    parallel = opts.backend == "parallel"
     access = _make_access(program, opts)
-    selector = _make_selector(program, access, opts.policy)
+    if remote is None:
+        selector = _make_selector(program, access, opts.policy)
+    else:
+        selector = remote.tally
     registries = attached_all(observers, "registry")
     # the run's own registry; deep instrumentation needs an attached one
     run = MetricsRegistry()
@@ -391,10 +418,6 @@ def explore(
     t0 = time.perf_counter()
     deadline = None if opts.time_limit_s is None else t0 + opts.time_limit_s
     fingerprint = program_fingerprint(program)
-    if not opts.memo:
-        cache = None
-    else:
-        cache = expand_cache if expand_cache is not None else ExpandCache()
     # the run's share table: successor processes and actions, each kept
     # once (semantics.step); dropped with the run
     share: dict = {}
@@ -431,13 +454,14 @@ def explore(
     guard = _ObserverGuard(observers, run, tracer)
     if resume_from is None:
         # observers see every configuration, the initial one included
-        # (the parallel merge notifies it too — keep the counts equal)
         guard.on_config(
             graph, graph.initial, graph.configs[graph.initial], True, None
         )
     expanded = run.counter("explore.expansions")
     peak = run.gauge(PEAK_RSS)
     n0 = stats.expansions  # a resumed run counts on from its snapshot
+    if remote is not None:
+        remote.start(access, graph, frontier, run)
 
     def payload_now() -> dict:
         return {
@@ -471,37 +495,57 @@ def explore(
             if deep is not None:
                 deep.observe("explore.frontier_depth", len(frontier))
             if progress is not None and progress.due():
-                progress.emit(
-                    "explore",
-                    configs=graph.num_configs,
-                    edges=graph.num_edges,
-                    frontier=len(frontier),
-                    expansions=n0 + expanded.value,
-                    cache_hits=cache.hits if cache is not None else 0,
-                    cache_misses=cache.misses if cache is not None else 0,
-                )
+                if remote is not None:
+                    progress.emit(
+                        "parallel", **remote.frame(n0 + expanded.value)
+                    )
+                else:
+                    progress.emit(
+                        "explore",
+                        configs=graph.num_configs,
+                        edges=graph.num_edges,
+                        frontier=len(frontier),
+                        expansions=n0 + expanded.value,
+                        cache_hits=cache.hits if cache is not None else 0,
+                        cache_misses=(
+                            cache.misses if cache is not None else 0
+                        ),
+                    )
 
             status = _terminal_status_fast(config)
             if status is not None:
                 _mark_terminal(graph, cid, config, status, guard)
                 continue
 
-            expansions = _expand_guarded(
-                program, config, cid, access, opts, run, deep, tracer,
-                cache=cache, share=share,
-            )
-            if expansions is None:
+            # kept: the transitions to insert; None after an engine
+            # fault, DEADLOCK when nothing is enabled
+            if remote is not None:
+                kept = remote.kept(cid)
+            else:
+                expansions = _expand_guarded(
+                    program, config, cid, access, opts, run, deep, tracer,
+                    cache=cache, share=share,
+                )
+                if expansions is None:
+                    kept = None
+                else:
+                    enabled = [e for e in expansions if e.enabled]
+                    kept = DEADLOCK
+                    if enabled:
+                        kept = frontier.awake(
+                            _select_guarded(
+                                selector, expansions, enabled, run, tracer
+                            )
+                        )
+            if kept is None:
                 _truncate(stats, "internal-error", tracer)
                 continue
-            enabled = [e for e in expansions if e.enabled]
-            if not enabled:
+            if kept is DEADLOCK:
                 _mark_terminal(graph, cid, config, DEADLOCK, guard)
                 continue
 
-            chosen = _select_guarded(selector, expansions, enabled, run, tracer)
-
             children: list[tuple[int, bool, Expansion]] = []
-            for exp in frontier.awake(chosen):
+            for exp in kept:
                 succ = exp.succ
                 if succ is None:
                     succ = cache.replay(exp.entry, exp.proc, config)
@@ -523,6 +567,8 @@ def explore(
 
         if rounds is not None:
             rounds.close()
+        if remote is not None:
+            remote.finish(stats, run)
         return _finalize(
             program, graph, stats, run, opts, access, selector, guard,
             registries, t0, checkpointer, tracer, cache=cache,
@@ -673,7 +719,7 @@ class _SleepStack:
 
 class _ObserverGuard:
     """Fault isolation for observer dispatch, and the one place graph
-    events are counted: every notification (the parallel merge's too)
+    events are counted: every notification (the parallel master's too)
     passes through here and is counted into the run's registry first.
 
     An observer that raises is logged, counted, and dropped for the
@@ -776,7 +822,7 @@ def _expand_guarded(
     ``explore.engine_faults`` and None tells the caller to mark the run
     truncated (``internal-error``) — but it never raises.  Both drivers
     expand through here: the serial loop (FIFO or sleep-set stack, the
-    latter on every backend) and the parallel BFS workers."""
+    latter on every backend) and the parallel backend's workers."""
     try:
         chaos.kick("eval")
         return expand(

@@ -70,7 +70,14 @@ from repro.metrics.registry import (
 #: ``/9`` adds ``expand.replays`` (counter): memo successors built, one
 #: per kept transition whose expansion the memo answered;
 #: ``expand.cache_hits`` counts every probe it answered (worker-local).
-SCHEMA_VERSION = "repro.metrics/9"
+#: ``/10``: the parallel master runs the serial queue, so under
+#: ``--jobs`` ``explore.intern.hits`` and ``explore.frontier_depth``
+#: equal the serial values; ``parallel.batches`` (counter) counts the
+#: batch messages sent to workers, ``parallel.handoffs`` counts
+#: configurations shipped in full, and ``parallel.steals`` /
+#: ``parallel.cand_msgs`` / ``parallel.cand_suppressed`` are no longer
+#: recorded.
+SCHEMA_VERSION = "repro.metrics/10"
 
 __all__ = [
     "Counter",

@@ -142,22 +142,16 @@ LAST_WRITE_GAUGES = frozenset(
 #:
 #: - ``parallel.*`` — no serial counterpart at all;
 #: - ``expand.*`` / ``digest.*`` — memo-cache and digest-reuse splits
-#:   follow per-shard locality (the expansion *outcomes* are asserted
-#:   equal through the graph checks instead);
-#: - ``explore.frontier_depth`` — a BFS queue and a sharded frontier
-#:   have different shapes;
-#: - ``explore.intern.hits`` — workers dedup successor batches before
-#:   interning, so parallel hit counts are legitimately lower;
+#:   follow which worker expanded what (the expansion *outcomes* are
+#:   asserted equal through the graph checks instead);
 #: - ``algorithm1.scans`` / ``algorithm1.scan_hits`` — each worker's
 #:   selector keeps its own scan memo, so the split between fresh and
-#:   memoised scans follows which shard met a key first.
+#:   memoised scans follows which worker met a key first.
 #: - ``step.shared_objects`` — each worker keeps its own share table,
-#:   so the sum over workers counts objects more than one shard built.
+#:   so the sum over workers counts objects more than one worker built.
 WORKER_LOCAL_PREFIXES = ("parallel.", "expand.", "digest.")
 WORKER_LOCAL_SERIES = frozenset(
     {
-        "explore.frontier_depth",
-        "explore.intern.hits",
         "algorithm1.scans",
         "algorithm1.scan_hits",
         "step.shared_objects",

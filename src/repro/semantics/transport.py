@@ -1,12 +1,12 @@
 """Shared-memory component transport for the parallel backend.
 
-The work-stealing exploration backend routes *candidate configurations*
-between OS processes continuously (unlike the old round-barrier design,
-which scattered whole batches once per round).  Pickling every candidate
-in full would re-serialize the same interned :class:`~repro.semantics.
-config.Process` and :class:`~repro.semantics.config.HeapObj` components
-thousands of times — successors share almost all structure with their
-parents, which is the entire point of interning.
+The parallel backend's master sends BFS levels of configurations to its
+workers, and the workers send back the successors they keep.  Pickling
+every configuration in full would re-serialize the same interned
+:class:`~repro.semantics.config.Process` and
+:class:`~repro.semantics.config.HeapObj` components thousands of times —
+successors share almost all structure with their parents, which is the
+entire point of interning.
 
 This module ships each distinct component across the boundary **once**:
 
@@ -21,20 +21,21 @@ This module ships each distinct component across the boundary **once**:
 * decoding reads the ``[u32 length][pickle]`` record at the handle (the
   component pickle re-interns via ``__reduce__``, so the receiver gets
   its canonical object) and caches the handle → object mapping, making
-  repeat decodes pointer lookups.
+  repeat decodes pointer lookups;
+* a successor is encoded against its parent, which both sides hold: only
+  the processes that changed, and the globals and heap if they did.
 
 Segments are created by the master *before* forking and inherited by the
 workers through ``Process`` args — no name re-attachment, so the
 resource tracker sees each segment exactly once and the master's
-``unlink()`` in its ``finally`` block is the single point of cleanup.
+``unlink()`` is the single point of cleanup.
 When a segment fills up, or when the platform cannot fork / lacks POSIX
 shared memory, encoding degrades per-component to an inline ``("b",
 pickle)`` payload: strictly the old behaviour, never an error.
 
-The codec is deliberately asymmetric-free: any participant can encode
-(workers publish successor components; the master publishes the initial
-configuration and checkpoint-resume preloads) and any participant can
-decode any producer's handles.
+The codec is symmetric: any participant can encode (workers publish
+successor components; the master publishes the configurations it ships
+in full) and any participant can decode any producer's handles.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import pickle
 import struct
 from typing import Optional
 
-from repro.semantics.config import Config, intern_config
+from repro.semantics.config import Config, intern_composed
 
 #: Default size of each producer's append-only segment.  Components are
 #: a few hundred bytes pickled; 8 MiB holds tens of thousands of them,
@@ -65,8 +66,8 @@ def shm_available() -> bool:
 class ComponentStore:
     """Per-producer shared-memory logs plus the config codec.
 
-    Create in the master with ``nproducers = nshards + 1`` (producer
-    ``nshards`` is the master), fork, then call :meth:`bind` in every
+    Create in the master with ``nproducers = jobs + 1`` (producer
+    ``jobs`` is the master), fork, then call :meth:`bind` in every
     process with its own producer id before encoding.  Decoding needs no
     binding.  ``use_shm=False`` builds an inline-only store (every
     component ships as bytes) with the identical interface.
@@ -90,7 +91,7 @@ class ComponentStore:
         # Decoding feeds this map too: a component received from another
         # producer re-encodes as the *original* handle instead of being
         # republished, so each component crosses the run exactly once
-        # no matter how many shards forward configurations built on it.
+        # no matter how many processes forward configurations built on it.
         self._published: dict[int, tuple] = {}
         # value-keyed ledger for small immutables (the globals tuple):
         # equal-but-distinct objects would defeat both the id-keyed map
@@ -99,8 +100,6 @@ class ComponentStore:
         self._value_published: dict = {}
         # decoder state: (producer, offset) handle -> component
         self._decoded: dict[tuple, object] = {}
-        self.inline_fallbacks = 0  # components shipped as raw bytes
-        self._inline_bytes = 0
         if use_shm and shm_available():
             from multiprocessing import shared_memory
             import os
@@ -119,14 +118,6 @@ class ComponentStore:
                 self.unlink()
                 self._segments = []
 
-    @property
-    def using_shm(self) -> bool:
-        return bool(self._segments)
-
-    def segment_names(self) -> list[str]:
-        """The backing segment names (leak-check support for tests)."""
-        return [s.name for s in self._segments]
-
     def bind(self, producer: int) -> None:
         """Declare which producer slot this process writes."""
         if not 0 <= producer < self.nproducers:
@@ -137,9 +128,10 @@ class ComponentStore:
     # encoding
     # ------------------------------------------------------------------
 
-    def _publish(self, component):
-        """The transport handle for one shared component (a Process or
-        HeapObj of a configuration, or an edge's ActionInfo)."""
+    def publish(self, component):
+        """The transport handle for one shared object (a Process or
+        HeapObj of a configuration, or an edge's ActionInfo), published
+        on first use; a repeat publish is a dict hit."""
         key = id(component)
         hit = self._published.get(key)
         if hit is not None:
@@ -157,25 +149,8 @@ class ComponentStore:
                 handle = (self._producer, tail)
         if handle is None:
             handle = ("b", data)
-            self.inline_fallbacks += 1
-            self._inline_bytes += len(data)
         self._published[key] = (component, handle)
         return handle
-
-    def publish(self, obj):
-        """Publish any shared object once; returns its handle.  The
-        same incremental ledger backs configurations and edge-action
-        metadata, so a repeat publish is a dict hit."""
-        return self._publish(obj)
-
-    def published_bytes(self) -> int:
-        """Bytes this producer has published so far (its segment tail
-        plus inline-fallback payloads) — lets senders estimate the
-        marginal cost of the configuration they just encoded."""
-        tail = 0
-        if self._segments and self._producer is not None:
-            tail = self._tail[self._producer]
-        return tail + self._inline_bytes
 
     def _publish_value(self, value):
         """Publish a small hashable immutable keyed by *value* rather
@@ -184,30 +159,43 @@ class ComponentStore:
         configuration."""
         handle = self._value_published.get(value)
         if handle is None:
-            handle = self._publish(value)
+            handle = self.publish(value)
             self._value_published[value] = handle
         return handle
 
-    def encode_config(self, config: Config, *, digest: bool = True) -> tuple:
-        """A compact, queue-shippable payload for *config*.
+    def encode_config(self, config: Config, base: Config | None = None):
+        """A compact, pipe-shippable payload for *config*.
 
-        ``digest=False`` omits the stable digest (graph fragments headed
-        for the canonical merge recompute it there; candidate messages
-        keep it because the receiving shard routes and deduplicates on
-        it)."""
+        With *base*, a configuration the receiver holds (a successor's
+        parent), the payload lists only what differs from it: the
+        processes at changed positions, and the globals and heap when
+        they changed (None when they did not)."""
+        procs = config.procs
+        if base is not None and len(procs) == len(base.procs):
+            procs = [
+                (i, self.publish(p))
+                for i, (p, q) in enumerate(zip(procs, base.procs))
+                if p is not q
+            ]
+        else:
+            procs = tuple([self.publish(p) for p in procs])
+        globals_ = config.globals
+        heap = config.heap
         return (
-            tuple(self._publish(p) for p in config.procs),
-            self._publish_value(config.globals),
-            tuple(self._publish(o) for o in config.heap),
+            procs,
+            None if base is not None and globals_ == base.globals
+            else self._publish_value(globals_),
+            None if base is not None and heap == base.heap
+            else tuple([self.publish(o) for o in heap]),
             config.fault,
-            config._digest if digest else None,
         )
 
     # ------------------------------------------------------------------
     # decoding
     # ------------------------------------------------------------------
 
-    def _resolve(self, handle):
+    def resolve(self, handle):
+        """The canonical object behind a handle from :meth:`publish`."""
         if handle[0] == "b":  # ("b", pickle) inline fallback
             return pickle.loads(handle[1])
         hit = self._decoded.get(handle)
@@ -224,29 +212,31 @@ class ComponentStore:
         self._published.setdefault(id(component), (component, handle))
         return component
 
-    def resolve(self, handle):
-        """Resolve any handle produced by :meth:`publish` (or by config
-        encoding) to its canonical object."""
-        return self._resolve(handle)
-
-    def decode_config(self, payload: tuple) -> Config:
-        """Rebuild (and intern) a configuration from a payload."""
-        proc_refs, globals_ref, heap_refs, fault, digest = payload
-        globals_ = self._resolve(globals_ref)
-        # ledger reuse for the value-keyed map too: forwarding a config
-        # with these globals reuses the original producer's handle
-        self._value_published.setdefault(globals_, globals_ref)
-        config = intern_config(
-            Config(
-                procs=tuple(self._resolve(r) for r in proc_refs),
-                globals=globals_,
-                heap=tuple(self._resolve(r) for r in heap_refs),
-                fault=fault,
-            )
+    def decode_config(self, payload: tuple, base: Config | None = None):
+        """Rebuild (and intern) a configuration from a payload made
+        with the same *base*, an interned configuration."""
+        procs, globals_ref, heap, fault = payload
+        resolve = self.resolve
+        if type(procs) is list:
+            changed = list(base.procs)
+            for i, handle in procs:
+                changed[i] = resolve(handle)
+            procs = tuple(changed)
+        else:
+            procs = tuple([resolve(h) for h in procs])
+        if globals_ref is None:
+            globals_ = base.globals
+        else:
+            globals_ = resolve(globals_ref)
+            # ledger reuse for the value-keyed map too: forwarding a
+            # config with these globals reuses the producer's handle
+            self._value_published.setdefault(globals_, globals_ref)
+        heap = base.heap if heap is None else tuple([resolve(h) for h in heap])
+        # resolved components are canonical (unpickling re-interns
+        # them), and so are an interned base's
+        return intern_composed(
+            Config(procs=procs, globals=globals_, heap=heap, fault=fault)
         )
-        if digest is not None and config._digest is None:
-            object.__setattr__(config, "_digest", digest)
-        return config
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -340,20 +340,18 @@ def _cache_section(metrics: dict | None) -> str:
 
 
 def _interconnect_section(metrics: dict | None) -> str:
-    """The parallel backend's data-plane anatomy: how many bytes the
-    workers shipped, what the suppression cache saved, and how much of
-    the canonical merge overlapped exploration instead of trailing it.
-    Absent on serial runs — the section keys on ``parallel.*`` series."""
+    """The parallel backend's data plane: the bytes over the worker
+    pipes, the batches the master sent, the configurations shipped in
+    full, and how evenly the workers were loaded.  Absent on serial
+    runs — the section keys on ``parallel.*`` series."""
     if not metrics or "parallel.msg_bytes" not in metrics:
         return ""
     rows = []
     for name, label in (
         ("parallel.msg_bytes", "interconnect bytes shipped"),
-        ("parallel.cand_msgs", "candidate messages"),
-        ("parallel.cand_suppressed", "candidates suppressed at source"),
-        ("parallel.handoffs", "cross-shard handoffs"),
-        ("parallel.steals", "work steals"),
-        ("parallel.shard_balance", "shard balance (min/max work)"),
+        ("parallel.batches", "batches sent to workers"),
+        ("parallel.handoffs", "configurations shipped in full"),
+        ("parallel.shard_balance", "worker load balance (max/mean)"),
     ):
         data = metrics.get(name)
         if data is None:
@@ -362,14 +360,6 @@ def _interconnect_section(metrics: dict | None) -> str:
         if isinstance(value, float):
             value = round(value, 4)
         rows.append((label, value))
-    for name, label in (
-        ("parallel.merge_overlap_s", "merge overlapped with run (s)"),
-        ("parallel.merge_tail_s", "merge tail after quiescence (s)"),
-    ):
-        data = metrics.get(name)
-        if data is None:
-            continue
-        rows.append((label, round(data.get("total_s", 0.0), 6)))
     return "<h2>Interconnect</h2>" + _table(
         ("series", "value"), rows, numeric=(1,)
     )

@@ -1,4 +1,4 @@
-"""Unit tests for the parallel sharded backend: composition rules,
+"""Unit tests for the parallel backend: composition rules,
 budgets, stats/metrics surface, and the ladder hookup.
 
 Graph/result equivalence against the serial reference is covered by
@@ -7,6 +7,9 @@ Graph/result equivalence against the serial reference is covered by
 """
 
 from __future__ import annotations
+
+import subprocess
+import sys
 
 import pytest
 
@@ -74,6 +77,20 @@ def test_sleep_runs_start_no_workers(monkeypatch, name, jobs):
     assert par.stats.expansions == ser.stats.expansions
 
 
+def test_serial_runs_never_load_the_parallel_backend():
+    """``repro.explore`` imports the backend on the first parallel run
+    only, so serial set-up pays for neither it nor multiprocessing."""
+    code = (
+        "import sys\n"
+        "from repro.explore import explore\n"
+        "from repro.programs.corpus import CORPUS\n"
+        "explore(CORPUS['mutex_counter'](), 'stubborn')\n"
+        "assert 'repro.explore.parallel' not in sys.modules\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
 def test_explore_parallel_rejects_sleep_options():
     from repro.explore import explore_parallel
 
@@ -123,13 +140,17 @@ def test_parallel_stats_fields():
     s = r.stats
     assert s.backend == "parallel"
     assert s.jobs == 2
-    assert len(s.shard_sizes) == 2
-    assert sum(s.shard_sizes) == s.num_configs
+    assert s.shard_sizes == s.worker_expansions
     assert s.shard_balance is not None and s.shard_balance >= 1.0
-    assert s.handoffs > 0  # philosophers always crosses shards
-    assert s.steals >= 0 and s.worker_restarts == 0
+    # every non-terminal configuration is expanded once, by one worker
     assert len(s.worker_expansions) == 2
-    assert sum(s.worker_expansions) > 0
+    assert sum(s.worker_expansions) == (
+        s.expansions - s.num_terminated - s.num_faults
+    )
+    assert s.handoffs > 0  # the initial configuration ships in full
+    assert 0 < s.batches <= 2 * s.num_configs
+    assert s.steals == s.cand_msgs == s.cand_suppressed == 0
+    assert s.worker_restarts == 0
     assert s.stubborn is not None and s.stubborn.steps > 0
     assert r.options.describe() == "stubborn@j2"
 
@@ -168,8 +189,8 @@ def test_configs_budget_truncates_gracefully():
     )
     assert r.stats.truncated
     assert r.stats.truncation_reason == "configs"
-    # the drain round keeps the merged graph internally consistent:
-    # every edge endpoint is a real node
+    # the master cuts where the serial loop cuts: every edge endpoint
+    # is a real node
     for e in r.graph.edges:
         assert 0 <= e.src < r.graph.num_configs
         assert 0 <= e.dst < r.graph.num_configs

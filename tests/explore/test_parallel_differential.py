@@ -1,18 +1,15 @@
-"""Cross-backend differential suite: the parallel work-stealing driver
-must be *indistinguishable* from the serial reference in everything the
-paper's theory cares about.
+"""Cross-backend differential suite: the parallel backend must be
+*indistinguishable* from the serial reference.
 
 Contract, per corpus program × expansion policy (± sleep sets) × jobs
 ∈ {1, 2, 4}:
 
-- identical configuration count and edge count (the policies are
-  deterministic per-configuration functions, so the explored graphs are
-  the same graph up to node numbering);
+- the same graph id for id: the parallel master runs the serial BFS
+  loop and inserts each worker reply in queue order, so
+  ``graph.configs``, ``graph.edges`` and ``graph.terminal`` equal the
+  serial lists, truncated runs included;
 - identical result-configuration payloads (final stores), deadlock
   counts, and fault messages — the paper's reduction invariant;
-- identical *content* edge multiset ``(src config, dst config, labels)``
-  — a structural graph-isomorphism check that catches dropped or
-  duplicated transitions even when the counts accidentally agree;
 - identical merged metrics on every backend-comparable series: the
   master merges worker registries (``MetricsRegistry.merge``), so
   deterministic counters and histograms (``explore.expansions``,
@@ -24,14 +21,10 @@ Contract, per corpus program × expansion policy (± sleep sets) × jobs
   ``MetricsRegistry.merge`` contract), plus gauges and timers
   (wall-clock / peak semantics).
 
-Determinism (the no-dict-iteration-order-leak guarantee): the merged
-graph of two repeated runs at the same ``jobs`` is identical node by
-node and edge by edge, and counts/result sets are identical across
-``jobs`` values.
-
-The full corpus runs at jobs=2 (every program, every policy); the
-wider jobs sweep {1, 4} runs on the bench smoke subset to keep tier-1
-wall-clock bounded.
+The full corpus runs at jobs=2 (every program, every policy) and, for
+the breadth-first policies, at jobs 1 and 4 as well; the sleep-set
+combos (the serial sleep driver on every backend) sweep jobs {1, 4} on
+the bench smoke subset only.
 """
 
 from __future__ import annotations
@@ -48,22 +41,31 @@ from repro.metrics.registry import (
     WORKER_LOCAL_SERIES,
 )
 from repro.programs.corpus import CORPUS
+from repro.programs.philosophers import philosophers
 
 #: (policy, coarsen, sleep) — the sleep combos run on the serial sleep
 #: driver whatever the backend, and must still match it exactly.
-PARALLEL_COMBOS = (
+BFS_COMBOS = (
     ("full", False, False),
     ("stubborn", False, False),
     ("stubborn-proc", False, False),
     ("stubborn", True, False),
+)
+PARALLEL_COMBOS = BFS_COMBOS + (
     ("full", False, True),
     ("stubborn", False, True),
     ("stubborn-proc", False, True),
 )
-COMBO_IDS = [
-    ExploreOptions(policy=p, coarsen=c, sleep=s).describe()
-    for p, c, s in PARALLEL_COMBOS
-]
+
+
+def _ids(combos):
+    return [
+        ExploreOptions(policy=p, coarsen=c, sleep=s).describe()
+        for p, c, s in combos
+    ]
+
+
+COMBO_IDS = _ids(PARALLEL_COMBOS)
 
 _PROGRAMS: dict = {}
 _SERIAL: dict = {}
@@ -104,6 +106,14 @@ def _comparable(snapshot: dict) -> dict:
     }
 
 
+def _same_graph(a, b) -> None:
+    """Id for id: configuration order, edge list, terminal marks."""
+    assert a.graph.configs == b.graph.configs
+    assert a.graph.edges == b.graph.edges
+    assert a.graph.terminal == b.graph.terminal
+    assert a.graph.initial == b.graph.initial
+
+
 def _edge_content(result) -> Counter:
     """The graph's edge multiset keyed by configuration *content*, not
     node id — invariant across node numberings."""
@@ -122,8 +132,7 @@ def _assert_equivalent(par, ser) -> None:
     assert par.stats.num_deadlocks == ser.stats.num_deadlocks
     assert par.stats.num_faults == ser.stats.num_faults
     assert frozenset(par.fault_messages()) == frozenset(ser.fault_messages())
-    assert set(par.graph.configs) == set(ser.graph.configs)
-    assert _edge_content(par) == _edge_content(ser)
+    _same_graph(par, ser)
 
 
 @pytest.mark.parametrize("combo", PARALLEL_COMBOS, ids=COMBO_IDS)
@@ -142,6 +151,23 @@ def test_corpus_matches_serial_at_two_jobs(name, combo):
     ser, ser_metrics = _serial(name, policy, coarsen, sleep)
     _assert_equivalent(par, ser)
     assert _comparable(mo.snapshot()) == ser_metrics
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+@pytest.mark.parametrize("combo", BFS_COMBOS, ids=_ids(BFS_COMBOS))
+@pytest.mark.parametrize("name", sorted(set(CORPUS) - set(SMOKE_PROGRAMS)))
+def test_corpus_bfs_across_jobs(name, combo, jobs):
+    """With the smoke-subset sweep below, every corpus program under
+    every breadth-first policy at jobs 1 and 4."""
+    policy, coarsen, sleep = combo
+    par = explore(
+        _program(name),
+        options=ExploreOptions(
+            policy=policy, coarsen=coarsen, backend="parallel", jobs=jobs,
+        ),
+    )
+    ser, _ = _serial(name, policy, coarsen, sleep)
+    _assert_equivalent(par, ser)
 
 
 @pytest.mark.parametrize("jobs", [1, 4])
@@ -181,9 +207,8 @@ def _run(name, jobs):
 def test_repeated_runs_identical(name):
     """Two runs at the same jobs produce the same merged graph,
     node by node, edge by edge, terminal by terminal — byte-identical
-    modulo wall-clock.  (Scheduling-dependent stats — ``handoffs``,
-    ``steals``, per-worker task counts — are deliberately *not* part of
-    this contract; the canonical quantities are.)"""
+    modulo wall-clock.  Batch placement is a function of the level
+    alone, so the per-worker loads repeat too."""
     a, b = _run(name, 2), _run(name, 2)
     assert a.graph.configs == b.graph.configs
     assert a.graph.edges == b.graph.edges
@@ -206,9 +231,9 @@ def test_counts_and_results_identical_across_jobs(name):
 
 
 def test_merged_graph_identical_across_jobs():
-    """The canonical merge orders configurations by structural digest,
-    not by discovery: the merged graph is the *same object* — same node
-    numbering, same edge list — whatever the worker count."""
+    """The master inserts replies in queue order, so the graph is the
+    *same object* — same node numbering, same edge list — whatever the
+    worker count."""
     runs = [_run("philosophers_3", jobs) for jobs in (1, 2, 4)]
     for other in runs[1:]:
         assert runs[0].graph.configs == other.graph.configs
@@ -315,53 +340,74 @@ def test_parallel_snapshot_resumes_serially_and_back(tmp_path):
 
 
 # --------------------------------------------------------------------------
-# interconnect probes: suppression cache and fragment streaming
+# truncation and batch placement
 # --------------------------------------------------------------------------
 
 
-def test_suppression_fires_on_reconverging_frontier():
-    """The sender-side seen-digest cache earns its keep: on a program
-    whose interleavings reconverge heavily, repeat candidates are
-    suppressed at the source instead of shipped and rejected by the
-    owner's visited set."""
+def test_truncated_runs_equal_serial_every_time():
+    """``max_configs`` cuts the serial queue mid-level; the parallel
+    master cuts at the same configuration, so twenty runs at each of
+    jobs 2 and 4 give the serial truncated graph every time."""
+    program = philosophers(4)
+    opts = dict(policy="full", max_configs=300)
+    ser = explore(program, options=ExploreOptions(**opts))
+    assert ser.stats.truncation_reason == "configs"
+    for jobs in (2, 4):
+        par_opts = ExploreOptions(backend="parallel", jobs=jobs, **opts)
+        for _ in range(20):
+            par = explore(program, options=par_opts)
+            assert par.stats.truncation_reason == "configs"
+            _same_graph(par, ser)
+            assert par.stats.expansions == ser.stats.expansions
+            assert par.stats.stubborn == ser.stats.stubborn
+
+
+def test_affinity_ships_fresh_configs_by_reference():
+    """A fresh configuration goes back to the worker that produced it
+    as an index, so far fewer configurations ship in full than are
+    expanded; the batch count stays within one per worker per level."""
     r = explore(
         _program("philosophers_3"),
         options=ExploreOptions(policy="full", backend="parallel", jobs=2),
     )
-    assert r.stats.cand_suppressed > 0
-    assert r.stats.msg_bytes > 0
+    s = r.stats
+    assert 0 < s.handoffs < sum(s.worker_expansions) // 2
+    assert s.msg_bytes > 0
+    assert s.batches <= 2 * _depth(r.graph)
 
 
-def test_seen_cache_poisoning_never_drops_a_config():
-    """Forced digest collisions in the suppression cache: with every
-    candidate hashing to the same key, the cache sees nothing but
-    collisions — it must verify configuration equality, poison the key,
-    and keep shipping, never suppressing a genuinely-new config."""
+def _depth(graph) -> int:
+    """BFS levels of *graph* from its initial configuration."""
+    level = {graph.initial: 0}
+    queue = [graph.initial]
+    for cid in queue:
+        for _, dst in graph.successors(cid):
+            if dst not in level:
+                level[dst] = level[cid] + 1
+                queue.append(dst)
+    return max(level.values()) + 1
+
+
+def test_forced_handoffs_keep_the_serial_graph(monkeypatch):
+    """With affinity off — every origin forgotten, so every
+    configuration ships in full through the component ledger — the
+    graph is still the serial one."""
     from repro.explore import parallel as par
 
-    orig = par._seen_key
-    par._seen_key = lambda config: 1  # fork inherits the patch
-    try:
-        r = explore(
-            _program("philosophers_3"),
-            options=ExploreOptions(
-                policy="full", backend="parallel", jobs=2
-            ),
-        )
-    finally:
-        par._seen_key = orig
+    monkeypatch.setattr(par._Remote, "_remember", lambda *args: None)
+    r = explore(
+        _program("philosophers_3"),
+        options=ExploreOptions(policy="full", backend="parallel", jobs=2),
+    )
     ser, _ = _serial("philosophers_3", "full", False)
     _assert_equivalent(r, ser)
+    assert r.stats.handoffs == sum(r.stats.worker_expansions)
 
 
-def test_worker_killed_mid_fragment_stream_merges_clean():
-    """Chaos drill: with the fragment threshold forced to 1 the workers
-    stream graph deltas constantly, so a kill lands with fragments of
-    the dead worker already folded into the master's accumulator.  The
-    restarted attempt must discard them wholesale — the merged graph
-    equals the fault-free run's."""
-    from repro.explore import parallel as par
-
+def test_worker_killed_mid_level_resends_owed_configs():
+    """Chaos drill: a worker killed after replies have started arriving.
+    The master keeps what it received, sends the configurations still
+    owed to a new pool, and the graph equals the fault-free run's."""
     from repro.resilience import chaos
 
     opts = ExploreOptions(
@@ -369,18 +415,14 @@ def test_worker_killed_mid_fragment_stream_merges_clean():
     )
     program = _program("philosophers_3")
     clean = explore(program, options=opts)
-    orig = par._FRAG_MIN
-    par._FRAG_MIN = 1
     try:
         assert chaos.active() is None
         with chaos.injected("worker", after=40, shared=True) as inj:
             r = explore(program, options=opts)
         assert inj.armed_fired("worker") == 1
     finally:
-        par._FRAG_MIN = orig
         chaos.uninstall()
     assert r.stats.worker_restarts == 1
-    assert r.graph.configs == clean.graph.configs
-    assert r.graph.edges == clean.graph.edges
-    assert r.graph.terminal == clean.graph.terminal
+    _same_graph(r, clean)
     assert r.final_stores() == clean.final_stores()
+    assert r.stats.stubborn == clean.stats.stubborn

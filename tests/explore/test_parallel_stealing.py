@@ -1,15 +1,17 @@
-"""Work-stealing under skew, and shared-memory hygiene.
+"""Batch placement under skew, and shared-memory hygiene.
 
-The hash partition usually spreads configurations evenly, which makes
-organic steals rare and hard to assert on.  These tests *force* skew by
-monkeypatching :func:`repro.explore.parallel.shard_of` to dump every
-configuration on shard 0 — the patched global is inherited by the forked
-workers — and then require the idle worker to live off stolen batches.
+Affinity and the even-share rule usually split each BFS level across
+the workers.  The first test *forces* skew by monkeypatching
+:meth:`repro.explore.parallel._Remote._place` to put every
+configuration of every level on worker 0, in full: the other worker
+idles, and the graph must still be the serial one, because placement
+decides where a configuration is expanded, never where its result
+lands.
 
 The second half audits ``/dev/shm``: every transport segment the backend
-creates must be unlinked by the master's ``finally`` — after clean runs,
-after worker-kill retries, and after runs that die with an error.
-Segments of other live processes on the host are not counted.
+creates must be unlinked by the master — after clean runs, after
+worker-kill restarts, and after runs that die with an error.  Segments
+of other live processes on the host are not counted.
 """
 
 from __future__ import annotations
@@ -35,45 +37,45 @@ def _opts(**kw) -> ExploreOptions:
 
 
 # --------------------------------------------------------------------------
-# stealing under forced skew
+# placement under forced skew
 # --------------------------------------------------------------------------
 
 
-def test_skewed_shards_force_steals_and_rebalance(monkeypatch):
+def test_skewed_batches_keep_the_serial_graph(monkeypatch):
     from repro.explore import parallel as par
 
     program = philosophers(4)
-    clean = explore(program, options=_opts())
+    serial = explore(program, options=ExploreOptions(policy="stubborn"))
 
-    monkeypatch.setattr(par, "shard_of", lambda config, n: 0)
+    def all_on_worker_0(self, level):
+        encode = self.pool.store.encode_config
+        return [(0, encode(self.graph.configs[c])) for c in level]
+
+    monkeypatch.setattr(par._Remote, "_place", all_on_worker_0)
     skewed = explore(program, options=_opts())
 
     s = skewed.stats
-    assert s.steals > 0
-    # shard 0 owns every configuration...
-    assert s.shard_sizes[0] == s.num_configs and s.shard_sizes[1] == 0
-    # ...but worker 1 executed a real share of the work via stealing
-    assert s.worker_expansions[1] > 0
-    total = sum(s.worker_expansions)
-    assert min(s.worker_expansions) >= total // 20
-
-    # skew moves *where* work runs, never what is explored: the merge is
-    # canonical by structural digest, so even the node numbering agrees
-    assert skewed.graph.configs == clean.graph.configs
-    assert skewed.graph.edges == clean.graph.edges
-    assert skewed.graph.terminal == clean.graph.terminal
-    assert skewed.final_stores() == clean.final_stores()
+    assert s.worker_expansions[1] == 0
+    assert s.worker_expansions[0] == s.expansions - s.num_terminated
+    assert s.handoffs == s.worker_expansions[0]
+    assert skewed.graph.configs == serial.graph.configs
+    assert skewed.graph.edges == serial.graph.edges
+    assert skewed.graph.terminal == serial.graph.terminal
+    assert skewed.stats.stubborn == serial.stats.stubborn
 
 
-def test_natural_runs_record_steal_telemetry():
+def test_batch_telemetry_matches_stats():
     from repro.metrics import MetricsObserver
 
     mo = MetricsObserver()
     r = explore(philosophers(4), options=_opts(), observers=(mo,))
-    assert mo.registry.counter("parallel.steals").value == r.stats.steals
-    if r.stats.steals:
-        h = mo.registry.histogram("parallel.steal_batch")
-        assert h.count == r.stats.steals
+    reg = mo.registry
+    assert reg.counter("parallel.batches").value == r.stats.batches > 0
+    assert reg.counter("parallel.handoffs").value == r.stats.handoffs > 0
+    assert reg.counter("parallel.msg_bytes").value == r.stats.msg_bytes
+    # both workers took part, and the placement kept them balanced
+    assert min(r.stats.worker_expansions) > 0
+    assert r.stats.shard_balance < 1.5
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Parallel-worker telemetry: workers record into their own tracer and
-registry, ship both back with their final dumps, and the master merges
-them — deep per-expansion series survive the process boundary."""
+registry; trace records ride with each reply, registries with the final
+dumps, and the master merges both — deep per-expansion series survive
+the process boundary."""
 
 from __future__ import annotations
 
@@ -41,8 +42,8 @@ def test_worker_coarsen_histogram_merges():
 
 
 def test_intern_metrics_follow_master_convention():
-    # interning happens on the master during merge: misses count every
-    # configuration, hits come from the workers' summed dedup counts
+    # interning happens on the master, which runs the serial queue:
+    # misses count every configuration, hits every rediscovery
     mo = MetricsObserver()
     r = _run("philosophers_3", observers=(mo,))
     assert (
@@ -72,9 +73,9 @@ def test_worker_records_remap_into_master_seq_space():
     rec = TraceRecorder(capacity=None, record_wall=False)
     _run("philosophers_3", observers=(rec,))
     records = rec.records()
-    # the master re-sequences worker batches into its own seq space:
-    # seqs stay globally unique, and each shard's stream (batches are
-    # emitted in canonical configuration order) closes in order
+    # the master re-sequences worker records into its own seq space:
+    # seqs stay globally unique, and each shard's stream (emitted in
+    # queue order) closes in order
     seqs = [rc["seq"] for rc in records]
     assert len(seqs) == len(set(seqs))
     for shard in (0, 1):
