@@ -3,9 +3,9 @@
 A :class:`ProgressEmitter` is an ordinary engine observer (attach it
 through ``observers=``) that the drivers additionally *feed* with
 periodic snapshots of their own live state: configs/edges/frontier
-depth, expansion counts, expand-cache hit rates, per-shard deque depths
-and steal counts, the resilience ladder's current rung, resident-set
-size.  Discovery is duck-typed exactly like the metrics registry and
+depth, expansion counts, expand-cache hit rates, the replies each
+parallel worker still owes, the resilience ladder's current rung,
+resident-set size.  Discovery is duck-typed exactly like the metrics registry and
 the tracer: the engine looks for an observer exposing a non-None
 ``progress`` attribute, and without one every emission site is a single
 ``is not None`` test — the default path stays as fast as before the
@@ -15,11 +15,12 @@ Frames follow the trace plane's wall-clock quarantine: every
 scheduling- or wall-clock-dependent field is ``wall_``-prefixed, so
 :func:`repro.trace.tracer.strip_wall` of a frame stream is
 deterministic for the serial loop under a count-based cadence
-(``every=``).  Parallel-backend fields (shard depths, steal counts) are
-operational by nature — scheduling-dependent like
-``ExploreStats.steals`` — and are documented as such rather than
-quarantined: the *frames* are live operator telemetry, never inputs to
-the byte-stable final documents.
+(``every=``).  Parallel-backend fields (``shard_depths``, the replies
+each worker owes; ``shard_steals``, all 0 since the backend has no
+stealing) are operational by nature — they depend on when workers
+answer — and are documented as such rather than quarantined: the
+*frames* are live operator telemetry, never inputs to the byte-stable
+final documents.
 
 Cadence
 -------
