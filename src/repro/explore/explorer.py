@@ -73,7 +73,7 @@ from repro.resilience.checkpoint import (
     read_snapshot,
 )
 from repro.semantics.config import Config, digest_stats, initial_config
-from repro.semantics.step import StepOptions
+from repro.semantics.step import StepOptions, shared_objects
 
 LOG = logging.getLogger("repro.explore")
 
@@ -417,7 +417,10 @@ def _search(
 
     t0 = time.perf_counter()
     deadline = None if opts.time_limit_s is None else t0 + opts.time_limit_s
-    fingerprint = program_fingerprint(program)
+    # only snapshots carry or check the program's fingerprint
+    fingerprint = None
+    if checkpointer is not None or resume_from is not None:
+        fingerprint = program_fingerprint(program)
     # the run's share table: successor processes and actions, each kept
     # once (semantics.step); dropped with the run
     share: dict = {}
@@ -989,7 +992,7 @@ def _count_incremental(registry, cache, digest_base, share=None) -> None:
     and this run's share of the process-global
     :func:`~repro.semantics.config.digest_stats` into *registry*."""
     if share:
-        registry.inc("step.shared_objects", len(share))
+        registry.inc("step.shared_objects", shared_objects(share))
     if cache is not None:
         for name, val in cache.counters().items():
             if val:

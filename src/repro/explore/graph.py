@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.semantics.config import Config
+from repro.semantics.config import Config, restore_slots, slot_setters
 from repro.semantics.step import ActionInfo
 
 # Terminal statuses
@@ -24,7 +24,7 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Edge:
     """A transition: ``src -> dst`` via one atomic action (or a fused
     block of actions of one process, under coarsening)."""
@@ -32,6 +32,16 @@ class Edge:
     src: int
     dst: int
     actions: tuple[ActionInfo, ...]
+
+    def __init__(self, src, dst, actions):
+        _EDGE_SRC(self, src)
+        _EDGE_DST(self, dst)
+        _EDGE_ACTIONS(self, actions)
+
+    def __reduce__(self):
+        return (Edge, (self.src, self.dst, self.actions))
+
+    __setstate__ = restore_slots
 
     @property
     def pid(self):
@@ -54,6 +64,9 @@ class Edge:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(a.label for a in self.actions)
+
+
+_EDGE_SRC, _EDGE_DST, _EDGE_ACTIONS = slot_setters(Edge, "src", "dst", "actions")
 
 
 @dataclass
@@ -110,7 +123,7 @@ class ConfigGraph:
         return cid, True
 
     def add_edge(self, src: int, dst: int, actions: tuple[ActionInfo, ...]) -> Edge:
-        edge = Edge(src=src, dst=dst, actions=actions)
+        edge = Edge(src, dst, actions)
         eid = len(self.edges)
         self.edges.append(edge)
         self.out_edges[src].append(eid)

@@ -5,6 +5,15 @@ globals area, and the heap.  Configurations are immutable and hashable —
 the exploration engine relies on structural equality to merge states
 reached along different interleavings.
 
+The records (:class:`Frame`, :class:`Process`, :class:`HeapObj`,
+:class:`Config`) are slotted frozen dataclasses with a hand-written
+``__init__`` that fills the slots through their descriptors
+(:func:`slot_setters`); assigning a field still raises
+:class:`~dataclasses.FrozenInstanceError`.  ``Frame`` pickles
+positionally and still reads the ``__dict__`` state of pickles written
+before it had slots (:func:`restore_slots`), as
+:class:`~repro.explore.graph.Edge` does.
+
 Process identities are **canonical paths**: the root process is ``(0,)``
 and the *i*-th branch of a cobegin executed by process ``p`` is
 ``p + (i,)``.  Identities are therefore independent of interleaving
@@ -17,10 +26,11 @@ Successor configurations along different interleavings share almost all
 of their structure.  Within one exploration, the interpreter shares
 what it builds: every run (the serial loop, each parallel worker) keeps
 a share table, and :func:`~repro.semantics.step.execute` returns the
-run's canonical equal :class:`Process` for each successor it builds, so
-equality checks between configurations of one run degrade to pointer
-comparisons and the resident set holds each distinct process once.  The
-table belongs to the run and is dropped with it.
+run's canonical equal :class:`Process` for each successor, found by a
+key of plain values before any frame or process is built, so equality
+checks between configurations of one run degrade to pointer comparisons
+and the resident set holds each distinct process once.  The table
+belongs to the run and is dropped with it.
 
 The process-global tables behind :func:`intern_config` (and the
 per-component :func:`intern_process` / :func:`intern_heap_obj`) remain
@@ -33,10 +43,11 @@ seen before gets back the exact object it already holds.
 fine for dict probing, never for identity: all visited-set structures
 key on full structural equality (dict/set semantics), and the
 cross-process digest, :func:`stable_digest`, is independent of
-``PYTHONHASHSEED``.  A process caches its hash on first use, so a
-configuration's hash is composed from the cached hashes of its (shared)
-processes; neither hash is pickled, so a snapshot written under one
-hash seed resumes under another.
+``PYTHONHASHSEED``.  Both are slots outside comparison: a configuration
+computes its hash in ``__init__``, a process caches its own on first
+use, so a configuration's hash is composed from the cached hashes of its
+(shared) processes.  Neither hash is pickled, so a snapshot written
+under one hash seed resumes under another.
 
 O(delta) digests
 ----------------
@@ -133,7 +144,23 @@ def loc_value(config: "Config", loc: Loc):
 RetLoc = Optional[tuple]
 
 
-@dataclass(frozen=True)
+def slot_setters(cls: type, *names: str) -> tuple:
+    """The slot descriptors' setters for *names* of *cls*.  A record's
+    ``__init__`` fills its slots through them: one C call per slot,
+    instead of the frozen dataclass's ``object.__setattr__`` per field.
+    Assignment through the instance still raises
+    :class:`~dataclasses.FrozenInstanceError`."""
+    return tuple(getattr(cls, name).__set__ for name in names)
+
+
+def restore_slots(obj, state: dict) -> None:
+    """Fill *obj*'s slots from the dict state of a pickle written while
+    the record kept a ``__dict__`` (older snapshots and stores)."""
+    for name, value in state.items():
+        object.__setattr__(obj, name, value)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Frame:
     """One procedure activation of a process."""
 
@@ -142,8 +169,24 @@ class Frame:
     locals: tuple[Value, ...]
     ret_loc: RetLoc = None
 
+    def __init__(self, func, pc, locals, ret_loc=None):
+        _FRAME_FUNC(self, func)
+        _FRAME_PC(self, pc)
+        _FRAME_LOCALS(self, locals)
+        _FRAME_RET(self, ret_loc)
 
-@dataclass(frozen=True)
+    def __reduce__(self):
+        return (Frame, (self.func, self.pc, self.locals, self.ret_loc))
+
+    __setstate__ = restore_slots
+
+
+_FRAME_FUNC, _FRAME_PC, _FRAME_LOCALS, _FRAME_RET = slot_setters(
+    Frame, "func", "pc", "locals", "ret_loc"
+)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Process:
     """A sequential thread of control.
 
@@ -159,18 +202,32 @@ class Process:
     children: tuple[Pid, ...] = ()
     retval: Optional[Value] = None
     ps: PS.ProcString = ()
-    # Cached component digest (see stable_digest); init=False so
-    # dataclasses.replace() never copies a stale digest onto a changed
-    # process.  Never compared, carried through __reduce__.
+    # Cached component digest (see stable_digest).  Not an init field,
+    # so dataclasses.replace() never copies a stale digest onto a
+    # changed process.  Never compared, carried through __reduce__.
     _digest: Optional[bytes] = field(
         default=None, init=False, compare=False, repr=False
     )
+    #: Cached salted hash, set on first use.  Not an init field and
+    #: never compared; ``__reduce__`` omits it: a hash computed under
+    #: one ``PYTHONHASHSEED`` never reaches an OS process using another.
+    _hash: Optional[int] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
-    #: Cached salted hash, set on first use (a class default, so the
-    #: constructor never writes it and ``dataclasses.replace`` never
-    #: copies it).  ``__reduce__`` omits it: a hash computed under one
-    #: ``PYTHONHASHSEED`` never reaches an OS process using another.
-    _hash = None
+    def __init__(
+        self, pid, frames, status=RUNNING, join_pc=-1, children=(),
+        retval=None, ps=(),
+    ):
+        _PROC_PID(self, pid)
+        _PROC_FRAMES(self, frames)
+        _PROC_STATUS(self, status)
+        _PROC_JOIN_PC(self, join_pc)
+        _PROC_CHILDREN(self, children)
+        _PROC_RETVAL(self, retval)
+        _PROC_PS(self, ps)
+        _PROC_DIGEST(self, None)
+        _PROC_HASH(self, None)
 
     def __hash__(self) -> int:
         h = self._hash
@@ -179,7 +236,7 @@ class Process:
                 (self.pid, self.frames, self.status, self.join_pc,
                  self.children, self.retval, self.ps)
             )
-            object.__setattr__(self, "_hash", h)
+            _PROC_HASH(self, h)
         return h
 
     @property
@@ -207,7 +264,16 @@ class Process:
         )
 
 
-@dataclass(frozen=True)
+(
+    _PROC_PID, _PROC_FRAMES, _PROC_STATUS, _PROC_JOIN_PC, _PROC_CHILDREN,
+    _PROC_RETVAL, _PROC_PS, _PROC_DIGEST, _PROC_HASH,
+) = slot_setters(
+    Process, "pid", "frames", "status", "join_pc", "children", "retval",
+    "ps", "_digest", "_hash",
+)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class HeapObj:
     """A heap object: canonical identity, cells, and birth metadata."""
 
@@ -219,6 +285,13 @@ class HeapObj:
         default=None, init=False, compare=False, repr=False
     )
 
+    def __init__(self, oid, cells, birth_pid=(), birth_ps=()):
+        _HEAP_OID(self, oid)
+        _HEAP_CELLS(self, cells)
+        _HEAP_BIRTH_PID(self, birth_pid)
+        _HEAP_BIRTH_PS(self, birth_ps)
+        _HEAP_DIGEST(self, None)
+
     def __reduce__(self):
         return (
             _unpickle_heap_obj,
@@ -227,7 +300,12 @@ class HeapObj:
         )
 
 
-@dataclass(frozen=True)
+_HEAP_OID, _HEAP_CELLS, _HEAP_BIRTH_PID, _HEAP_BIRTH_PS, _HEAP_DIGEST = (
+    slot_setters(HeapObj, "oid", "cells", "birth_pid", "birth_ps", "_digest")
+)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Config:
     """A global state: processes (sorted by pid), globals area, heap
     (sorted by oid), and an optional fault marker.
@@ -241,17 +319,29 @@ class Config:
     globals: tuple[Value, ...]
     heap: tuple[HeapObj, ...]
     fault: Optional[str] = None
-    _hash: int = field(default=0, compare=False, repr=False)
-    # Lazily-built lookup indexes (pid -> Process, oid -> HeapObj) and
-    # the cached cross-process digest.  Never compared, never pickled.
-    _proc_index: Optional[dict] = field(default=None, compare=False, repr=False)
-    _heap_index: Optional[dict] = field(default=None, compare=False, repr=False)
-    _digest: Optional[int] = field(default=None, compare=False, repr=False)
+    # The salted hash, computed by __init__; lazily-built lookup
+    # indexes (pid -> Process, oid -> HeapObj) and the cached
+    # cross-process digest.  Never compared, never pickled.
+    _hash: int = field(default=0, init=False, compare=False, repr=False)
+    _proc_index: Optional[dict] = field(
+        default=None, init=False, compare=False, repr=False
+    )
+    _heap_index: Optional[dict] = field(
+        default=None, init=False, compare=False, repr=False
+    )
+    _digest: Optional[int] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_hash", hash((self.procs, self.globals, self.heap, self.fault))
-        )
+    def __init__(self, procs, globals, heap, fault=None):
+        _CFG_PROCS(self, procs)
+        _CFG_GLOBALS(self, globals)
+        _CFG_HEAP(self, heap)
+        _CFG_FAULT(self, fault)
+        _CFG_HASH(self, hash((procs, globals, heap, fault)))
+        _CFG_PROC_INDEX(self, None)
+        _CFG_HEAP_INDEX(self, None)
+        _CFG_DIGEST(self, None)
 
     def __hash__(self) -> int:
         return self._hash
@@ -276,7 +366,7 @@ class Config:
         idx = self._proc_index
         if idx is None:
             idx = {p.pid: p for p in self.procs}
-            object.__setattr__(self, "_proc_index", idx)
+            _CFG_PROC_INDEX(self, idx)
         return idx[pid]
 
     def live_procs(self) -> Iterator[Process]:
@@ -296,7 +386,7 @@ class Config:
         idx = self._heap_index
         if idx is None:
             idx = {o.oid: o for o in self.heap}
-            object.__setattr__(self, "_heap_index", idx)
+            _CFG_HEAP_INDEX(self, idx)
         return idx.get(oid)
 
     def fresh_oid(self, site: str) -> ObjId:
@@ -333,6 +423,15 @@ class Config:
             tuple((o.oid, o.cells) for o in self.heap),
             self.fault,
         )
+
+
+(
+    _CFG_PROCS, _CFG_GLOBALS, _CFG_HEAP, _CFG_FAULT, _CFG_HASH,
+    _CFG_PROC_INDEX, _CFG_HEAP_INDEX, _CFG_DIGEST,
+) = slot_setters(
+    Config, "procs", "globals", "heap", "fault", "_hash", "_proc_index",
+    "_heap_index", "_digest",
+)
 
 
 def initial_config(program: Program, *, track_procstrings: bool = False) -> Config:
@@ -489,7 +588,7 @@ def _unpickle_process(
         )
     )
     if digest is not None and proc._digest is None:
-        object.__setattr__(proc, "_digest", digest)
+        _PROC_DIGEST(proc, digest)
     return proc
 
 
@@ -498,7 +597,7 @@ def _unpickle_heap_obj(oid, cells, birth_pid, birth_ps, digest=None):
         HeapObj(oid=oid, cells=cells, birth_pid=birth_pid, birth_ps=birth_ps)
     )
     if digest is not None and obj._digest is None:
-        object.__setattr__(obj, "_digest", digest)
+        _HEAP_DIGEST(obj, digest)
     return obj
 
 
@@ -507,7 +606,7 @@ def _unpickle_config(procs, globals_, heap, fault, digest=None):
         Config(procs=procs, globals=globals_, heap=heap, fault=fault)
     )
     if digest is not None and cfg._digest is None:
-        object.__setattr__(cfg, "_digest", digest)
+        _CFG_DIGEST(cfg, digest)
     return cfg
 
 
@@ -562,7 +661,7 @@ def _proc_digest(proc: Process) -> bytes:
     d = hashlib.blake2b(
         payload, digest_size=_COMPONENT_SIZE, person=_PERSON_PROC
     ).digest()
-    object.__setattr__(proc, "_digest", d)
+    _PROC_DIGEST(proc, d)
     _DIGEST_STATS["component_new"] += 1
     return d
 
@@ -578,7 +677,7 @@ def _heap_obj_digest(obj: HeapObj) -> bytes:
     d = hashlib.blake2b(
         payload, digest_size=_COMPONENT_SIZE, person=_PERSON_HEAP
     ).digest()
-    object.__setattr__(obj, "_digest", d)
+    _HEAP_DIGEST(obj, d)
     _DIGEST_STATS["component_new"] += 1
     return d
 
@@ -616,7 +715,7 @@ def stable_digest(config: Config) -> int:
     h.update(len(fault).to_bytes(4, "big"))
     h.update(fault)
     d = int.from_bytes(h.digest(), "big")
-    object.__setattr__(config, "_digest", d)
+    _CFG_DIGEST(config, d)
     _DIGEST_STATS["config_composed"] += 1
     return d
 

@@ -17,25 +17,31 @@ consumes this.
 
 Successors
 ----------
-:func:`execute` builds a successor from one new :class:`Frame` (a call
-pushes two) and one new :class:`Process`, by direct construction, and
-swaps that process into the configuration; every other component is
-shared with the parent by reference.
+:func:`execute` swaps one new :class:`Process` into the configuration;
+every other component is shared with the parent by reference.  When it
+is built, the process gets one new :class:`Frame` (a call pushes two),
+by direct construction.
 
 An exploration passes its **share table** (a plain dict it creates and
 drops with the run; each parallel worker keeps its own) as ``share``.
-New processes are then looked up in it and replaced by the run's
-canonical equal object, and the :class:`ActionInfo` comes from it by its
-key ``(pre-step process, reads, writes, (allocs, entered, exited))``:
-the program fixes the instruction from the process, so the key fixes
-the action, and a hit builds nothing.  A new action is canonicalised by
-value too, so a run holds each distinct process and action once (on
-``philosophers(5)`` fully interleaved: 44 processes and 38 actions
-instead of 18,343 and 69,438 objects).  Shared processes carry their
-cached hash (:class:`~repro.semantics.config.Process`), so hashing and
-comparing successor configurations costs per changed process.  Called
-without ``share`` (replay, the scheduler, tests), :func:`execute` builds
-fresh, equal objects.
+The successor process comes from it by a key of plain values before
+anything is built: ``(pre-step process, new top pc, new locals, status,
+children, retval, ps)`` when only the top frame's pc and locals change,
+the same with pc ``None`` when the process ends.  A miss, and a step
+that pushes or pops a frame or spawns children, builds the process and
+replaces it by the run's canonical equal object.  The
+:class:`ActionInfo` comes from the table by its key ``(pre-step
+process, reads, writes, (allocs, entered, exited))``: the program fixes
+the instruction from the process, so the key fixes the action, and a
+hit builds nothing.  A new action is canonicalised by value too, so a
+run holds each distinct process and action once (on ``philosophers(5)``
+fully interleaved: 44 processes and 38 actions instead of 18,343 and
+69,438 objects, with 44 processes and 37 frames built instead of 69,444
+and 55,202).  Shared processes carry their cached hash
+(:class:`~repro.semantics.config.Process`), so hashing and comparing
+successor configurations costs per changed process.  Called without
+``share`` (replay, the scheduler, tests), :func:`execute` builds fresh,
+equal objects.
 """
 
 from __future__ import annotations
@@ -221,6 +227,17 @@ def _record_reads(
 
 #: ``(allocs, entered, exited)`` of an action that does none of them
 _NO_EXTRA = ((), None, None)
+
+#: the share-table entry that maps successor keys to the run's
+#: canonical successor processes (see :func:`_successor`)
+_BY_KEY = object()
+
+
+def shared_objects(share: dict) -> int:
+    """The processes, actions and action keys *share* holds; the
+    successor keys that only find processes again are not counted."""
+    return len(share) - (_BY_KEY in share)
+
 
 _by_pid = attrgetter("pid")
 _by_oid = attrgetter("oid")
@@ -437,13 +454,30 @@ def _successor(program, config, proc, instr, reads, opts, share):
     else:
         raise RuntimeFault("bad-instr", f"unknown instruction {type(instr).__name__}")
 
-    if frames is None:
-        frames = proc.frames[:-1] + (
-            Frame(top.func, landing[target], locals_, top.ret_loc),
+    pc = None  # the process ended, or a call or return rebuilt its stack
+    if frames is None:  # only the top frame's pc and locals changed
+        pc = landing[target]
+    new = key = None
+    if share is not None and not frames:
+        # the successor is a function of the pre-step process and what
+        # the step changed: look it up before building it
+        key = (proc, pc, locals_, status, children, retval, ps)
+        by_key = share.get(_BY_KEY)
+        if by_key is None:
+            by_key = share[_BY_KEY] = {}
+        new = by_key.get(key)
+    if new is None:
+        if frames is None:
+            frames = proc.frames[:-1] + (
+                Frame(top.func, pc, locals_, top.ret_loc),
+            )
+        new = Process(
+            proc.pid, frames, status, proc.join_pc, children, retval, ps
         )
-    new = Process(proc.pid, frames, status, proc.join_pc, children, retval, ps)
-    if share is not None:
-        new = share.setdefault(new, new)
+        if share is not None:
+            new = share.setdefault(new, new)
+            if key is not None:
+                by_key[key] = new
     pid = proc.pid
     procs = tuple([new if p.pid == pid else p for p in procs])
     if spawned:

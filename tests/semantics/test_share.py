@@ -2,9 +2,10 @@
 
 ``semantics.step.execute`` hands every successor's new processes and its
 action record back as the run's canonical equal objects (the run's share
-table).  These tests pin what that buys on the benchmark's full,
-memo-off workload, that the table is per run, and that a process's
-cached hash never crosses a pickle boundary.
+table), and finds a known successor process by key without building it.
+These tests pin what that buys on the benchmark's full, memo-off
+workload, that the table is per run, and that a process's cached hash
+never crosses a pickle boundary.
 """
 
 from __future__ import annotations
@@ -37,12 +38,25 @@ def _objects(graph):
     return list(actions.values()), list(procs.values())
 
 
-def test_full_nomemo_graph_references_each_object_once():
+def _count_constructions(monkeypatch, *classes):
+    """Count the instances of *classes* built from here on."""
+    built = dict.fromkeys((cls.__name__ for cls in classes), 0)
+    for cls in classes:
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, _name=cls.__name__, **kw):
+            built[_name] += 1
+            _init(self, *args, **kw)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+def test_full_nomemo_graph_references_each_object_once(monkeypatch):
+    program = parse_program(philosophers_source(5))
+    built = _count_constructions(monkeypatch, Process, Frame)
     mo = MetricsObserver()
-    result = explore(
-        parse_program(philosophers_source(5)), options=FULL_NOMEMO,
-        observers=(mo,),
-    )
+    result = explore(program, options=FULL_NOMEMO, observers=(mo,))
     graph = result.graph
     assert (graph.num_configs, graph.num_edges) == (18_338, 69_438)
     # the graph-order digest of the engine before successors were shared
@@ -55,6 +69,9 @@ def test_full_nomemo_graph_references_each_object_once():
     # 43 processes a step built (the root comes from initial_config),
     # the 38 actions and one key per action outcome (one each here)
     assert mo.snapshot()["step.shared_objects"]["value"] == 43 + 38 + 38
+    # a step looks its successor process up by key before building it:
+    # 69,444 processes and 55,202 frames were built before it did
+    assert built["Process"] <= 1_000 and built["Frame"] <= 1_000
 
 
 def test_consecutive_explorations_share_no_actions():
@@ -88,8 +105,9 @@ def test_execute_without_share_builds_fresh_equal_objects():
 def test_unpickled_process_hashes_like_a_fresh_equal_one():
     frame = Frame(func="main", pc=3, locals=(1, 2), ret_loc=None)
     proc = Process(pid=(0, 1), frames=(frame,))
+    assert proc._hash is None
     hash(proc)  # populate the cache before pickling
-    assert "_hash" in vars(proc)
+    assert proc._hash == hash(proc)
     blob = pickle.dumps(proc)
     fresh = Process(pid=(0, 1), frames=(frame,))
     back = pickle.loads(blob)
